@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import ballavoid
 from ballavoid.cli import main
 
 
@@ -102,6 +105,20 @@ class TestVerify:
         _, second = run_cli(capsys, argv)
         assert first == second
 
+    @pytest.mark.parametrize("n", ["64", "1000"])
+    def test_high_dimension_passes(self, n):
+        # A fresh interpreter, so a traceback on stderr would show.
+        src = os.path.dirname(os.path.dirname(ballavoid.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballavoid.cli", "verify", "--n", n,
+             "--pairs", "10000", "--samples", "10000", "--format", "json"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["results"]["mc_within_3_sigma"] is True
+
 
 class TestOptimizeA:
     def test_canonical_recovered(self, capsys):
@@ -186,6 +203,13 @@ class TestConcentrationCheck:
         doc = json.loads(out)
         row = next(r for r in doc["results"]["rows"] if r["n"] == 50 and r["c"] == 2.0)
         assert row["exact"] - 0.8646647 >= 0
+
+    @pytest.mark.parametrize("c_list", ["abc", "1,x", ","])
+    def test_malformed_c_list_is_usage_error(self, capsys, c_list):
+        with pytest.raises(SystemExit) as exc:
+            main(["concentration-check", "--c-list", c_list])
+        assert exc.value.code == 2
+        assert "--c-list" in capsys.readouterr().err
 
 
 class TestTolEnvVar:

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ballavoid.construction import ConstructionParams, in_S, in_T, inner_approximation
-from ballavoid.errors import DomainError
+from ballavoid.errors import DomainError, NumericError
 from ballavoid.sampling import (
+    _AUDIT_STREAM,
+    _VOLUME_STREAM,
     AuditReport,
     SamplerConfig,
+    _chunks,
     mc_volume_ratio,
     pair_audit,
     sample_T,
@@ -60,6 +64,10 @@ class TestSampleUnitBall:
         assert np.array_equal(a, b)
 
 
+# vol T_n / vol(small ball), from the antiderivative oracle.
+ACCEPTANCE = [(2, 0.5697868742896341), (3, 0.6252470442573573)]
+
+
 class TestSampleT:
     def test_membership_invariant(self):
         p = ConstructionParams(3)
@@ -71,13 +79,17 @@ class TestSampleT:
         assert np.all((pts[:, 0] - p.a) ** 2 + perp < 0.25)
         assert np.all(np.einsum("ij,ij->i", pts, pts) < 1.0)
 
-    @pytest.mark.parametrize(
-        "n,expected", [(2, 0.5697868742896341), (3, 0.6252470442573573)]
-    )
+    @pytest.mark.parametrize("n,expected", ACCEPTANCE)
     def test_acceptance_rate(self, n, expected):
-        # expected = vol T_n / vol(small ball), from the antiderivative oracle
         _, rate = sample_T(ConstructionParams(n), rng_for(5), N_SAMPLES)
         assert rate == pytest.approx(expected, abs=0.005)
+
+    @pytest.mark.parametrize("n,expected", ACCEPTANCE)
+    def test_rate_counts_surplus_hits(self, n, expected):
+        # One point from a 2048-proposal block: the ~1200 surplus hits
+        # still count, so the rate estimates the acceptance probability.
+        _, rate = sample_T(ConstructionParams(n), rng_for(5), 1)
+        assert rate == pytest.approx(expected, abs=0.04)
 
 
 class TestMcVolumeRatio:
@@ -102,6 +114,29 @@ class TestMcVolumeRatio:
         assert a.log_value.log_magnitude == b.log_value.log_magnitude
         assert a.error_bound == b.error_bound
 
+    def test_no_hits_is_numeric_error(self):
+        # At a = 0.99 the proposal ball leaves the unit ball in high n.
+        with pytest.raises(NumericError):
+            mc_volume_ratio(SamplerConfig(0, 10_000, ConstructionParams(500, 0.99)))
+
+    @pytest.mark.parametrize("n", [2, 64, 256, 1000])
+    def test_wilson_interval_covers_analytic(self, n):
+        # Hit-or-miss in the unit ball gets no hits from n ~ 30 on; the
+        # acceptance estimator stays finite and its 3-sigma Wilson
+        # interval holds the exact log-ratio, up to the closed form's
+        # 1e-12 log error, even when q-hat is 1.
+        est = mc_volume_ratio(SamplerConfig(0, 10_000, ConstructionParams(n)))
+        lo, hi = est.log_interval(3.0)
+        log_ratio = math.log(ratio_S(n).scaled) - n * math.log(2.0)
+        assert lo - 1e-12 <= log_ratio <= hi + 1e-12
+        assert lo <= est.log_value.log_magnitude <= hi
+
+
+def test_audit_and_volume_streams_are_disjoint():
+    ((_, audit),) = _chunks(0, _AUDIT_STREAM, 10, 2)
+    ((_, volume),) = _chunks(0, _VOLUME_STREAM, 10, 2)
+    assert audit.random() != volume.random()
+
 
 class TestPairAudit:
     @pytest.mark.parametrize("n", [2, 8])
@@ -119,6 +154,28 @@ class TestPairAudit:
     def test_determinism(self):
         cfg = SamplerConfig(3, 20_000, ConstructionParams(3))
         assert pair_audit(cfg) == pair_audit(cfg)
+
+    def test_determinism_across_chunks(self):
+        # 20000 pairs at n = 64 span three chunks, each with its own stream.
+        cfg = SamplerConfig(11, 20_000, ConstructionParams(64))
+        assert pair_audit(cfg) == pair_audit(cfg)
+
+    def test_high_dimension(self):
+        # The element budget gives 2^19 // 1000 = 524 pairs per chunk.
+        rep = pair_audit(SamplerConfig(0, 10_000, ConstructionParams(1000)))
+        assert rep.violations == 0
+        assert rep.min_cross_distance > 1.0
+        assert rep.max_same_distance < 1.0
+
+    def test_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            rep = pair_audit(SamplerConfig(0, 10**6, ConstructionParams(8)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.violations == 0
+        assert peak < 64 * 2**20
 
     def test_minimum_pair_count(self):
         with pytest.raises(DomainError):

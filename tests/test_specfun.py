@@ -98,15 +98,17 @@ class TestRegIncBeta:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        # z bounded away from the endpoints: nearer than ~1e-6 the rounding
-        # of 1 - z itself moves the function by more than the tolerance.
         z=st.floats(1e-6, 1.0 - 1e-6),
         a=st.floats(0.05, 80.0),
         b=st.floats(0.05, 80.0),
     )
     def test_symmetry_identity(self, z, a, b):
-        assert reg_inc_beta(z, a, b) == pytest.approx(
-            1.0 - reg_inc_beta(1.0 - z, b, a), abs=1e-12
+        # Evaluate at an exact complement pair: w + z_c == 1 exactly by
+        # Sterbenz's lemma, so the rounding of 1 - z cannot move either side.
+        w = 1.0 - z
+        z_c = 1.0 - w
+        assert reg_inc_beta(z_c, a, b) == pytest.approx(
+            1.0 - reg_inc_beta(w, b, a), abs=1e-12
         )
 
     def test_domain_errors(self):
