@@ -7,14 +7,22 @@ volume estimate draw their points in chunks of max(1, CHUNK_ELEMENTS // n)
 rows and fold each chunk into running totals, so memory stays bounded at
 every pair count and dimension.  Chunk i draws from its own generator,
 seeded by the i-th child of ``SeedSequence(seed, spawn_key=(stream,))``,
-so the result does not depend on the order in which chunks run, and the
-audit (stream 0) and the volume estimate (stream 1) share no bits.
-Identical configuration gives a bit-identical result.
+so the audit (stream 0) and the volume estimate (stream 1) share no bits.
+
+Chunks run on W = min(usable CPUs, chunks) threads: worker k takes chunks
+k, k + W, k + 2W, ... and reuses one set of buffers for all of them, so
+memory grows with W but not with the pair or sample count.
+numpy releases the interpreter lock in the draws and array kernels, where
+the time goes.  The calling thread folds the per-chunk summaries in chunk
+order, so identical configuration gives a bit-identical result for every
+thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -97,24 +105,69 @@ def _wilson_interval(hits: int, trials: int, z: float) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", v, v)
+def _sq_norms(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", v, v, out=out)
 
 
 def _chunk_rows(n: int) -> int:
     return max(1, CHUNK_ELEMENTS // n)
 
 
-def _chunks(
-    seed: int, stream: int, total: int, n: int
-) -> Iterator[tuple[int, np.random.Generator]]:
-    """Yield (size, generator) for each chunk of `total` rows of dimension
-    n; chunk i draws from the i-th child of the seed's `stream`."""
-    rows = _chunk_rows(n)
-    root = np.random.SeedSequence(seed, spawn_key=(stream,))
-    children = root.spawn(-(-total // rows))
-    for i, child in enumerate(children):
-        yield min(rows, total - i * rows), np.random.Generator(np.random.PCG64(child))
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_rng(seed: int, stream: int, i: int) -> np.random.Generator:
+    """Generator of chunk i of a stream: the i-th child of
+    SeedSequence(seed, spawn_key=(stream,)), built without its siblings."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, i))))
+
+
+class _Buffers:
+    """One worker's buffers, reused for every chunk it runs: proposal
+    blocks of up to `rows` points of dimension n and, for the audit, the
+    pairing of their accepted points (up to `rows` pairs per chunk)."""
+
+    def __init__(self, rows: int, n: int, audit: bool = False):
+        self.points = np.empty((rows, n))
+        self.u = np.empty(rows)
+        self.sq = np.empty(rows)
+        self.keep = np.empty(rows, dtype=bool)
+        self.above = np.empty(rows, dtype=bool)
+        if audit:
+            half = rows // 2 + 1  # pairs completed by one block and a carried point
+            self.accepted = np.empty((rows + 1, n))
+            self.diff = np.empty((half, n))
+            self.dist_sq = np.empty(half)
+            self.positive = np.empty(2 * rows, dtype=bool)
+            self.same = np.empty(rows, dtype=bool)
+            self.cross = np.empty(rows, dtype=bool)
+            self.flip = np.empty(rows)
+
+
+def _fill_ball(rng: np.random.Generator, g: np.ndarray, u: np.ndarray, sq: np.ndarray,
+               radius: float) -> None:
+    """Overwrite g (m rows) with uniform points of the open n-ball of the
+    given radius about 0: normalized Gaussian direction scaled by
+    radius * U^(1/n).  u and sq are m-row work arrays.  A power-of-two
+    radius scales exactly, so it commutes with the rounding of the
+    product."""
+    n = g.shape[1]
+    rng.standard_normal(out=g)
+    _sq_norms(g, sq)
+    while not sq.all():  # measure-zero; resample degenerate rows
+        bad = sq == 0.0
+        g[bad] = rng.standard_normal((int(bad.sum()), n))
+        _sq_norms(g, sq)
+    rng.random(out=u)
+    u **= 1.0 / n
+    np.sqrt(sq, out=sq)
+    u /= sq
+    u *= radius
+    g *= u[:, None]
 
 
 def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
@@ -122,22 +175,44 @@ def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.nda
     scaled by U^(1/n).  Returns shape (count, n)."""
     if not n >= 1:
         raise DomainError(f"dimension must be >= 1, got {n!r}")
-    g = rng.standard_normal((count, n))
-    sq = _sq_norms(g)
-    while np.any(sq == 0.0):  # measure-zero; resample degenerate rows
-        bad = sq == 0.0
-        g[bad] = rng.standard_normal((int(bad.sum()), n))
-        sq = _sq_norms(g)
-    g *= (rng.random(count) ** (1.0 / n) / np.sqrt(sq))[:, None]
+    g = np.empty((count, n))
+    _fill_ball(rng, g, np.empty(count), np.empty(count), 1.0)
     return g
 
 
-def _propose(params: ConstructionParams, rng: np.random.Generator, count: int):
-    """`count` uniform points of B(a e_1, 1/2) and the mask of those in T."""
-    y = sample_unit_ball(params.n, rng, count)
-    y *= 0.5
+def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, m: int):
+    """Overwrite s.points[:m] with uniform points of B(a e_1, 1/2); return
+    the mask of those in T."""
+    y, sq, keep, above = s.points[:m], s.sq[:m], s.keep[:m], s.above[:m]
+    _fill_ball(rng, y, s.u[:m], sq, 0.5)
     y[:, 0] += params.a
-    return y, (y[:, 0] > params.threshold) & (_sq_norms(y) < 1.0)
+    np.less(_sq_norms(y, sq), 1.0, out=keep)
+    keep &= np.greater(y[:, 0], params.threshold, out=above)
+    return keep
+
+
+def _T_blocks(
+    params: ConstructionParams, rng: np.random.Generator, count: int, s: _Buffers
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Draw `count` points of T by rejection, in proposal blocks of
+    min(max(still needed, 2048), chunk rows) rows.  For each block, yield
+    the rows of s.points that hold its accepted points still needed, and
+    the acceptance rate so far, which counts every hit over every
+    proposal, including surplus hits that the last block draws."""
+    filled = hits = proposed = 0
+    rows = _chunk_rows(params.n)
+    while filled < count:
+        m = min(max(count - filled, 2048), rows)
+        idx = np.flatnonzero(_propose(params, rng, s, m))
+        proposed += m
+        hits += idx.size
+        if proposed >= 2048 and hits / proposed < 1e-4:
+            raise NumericError(
+                f"rejection acceptance rate below 1e-4 at a={params.a!r}; offset is pathological"
+            )
+        idx = idx[: count - filled]
+        filled += idx.size
+        yield idx, hits / proposed
 
 
 def sample_T(
@@ -147,23 +222,55 @@ def sample_T(
     a*e_1; returns (points of shape (count, n), acceptance rate).  The rate
     counts every hit over every proposal, including surplus hits that the
     last block draws beyond `count`."""
+    s = _Buffers(min(max(count, 2048), _chunk_rows(params.n)), params.n)
     accepted = np.empty((count, params.n))
-    filled = hits = proposed = 0
-    rows = _chunk_rows(params.n)
-    while filled < count:
-        m = min(max(count - filled, 2048), rows)
-        y, keep = _propose(params, rng, m)
-        proposed += m
-        block = y[keep]
-        hits += block.shape[0]
-        if proposed >= 2048 and hits / proposed < 1e-4:
-            raise NumericError(
-                f"rejection acceptance rate below 1e-4 at a={params.a!r}; offset is pathological"
-            )
-        take = min(count - filled, block.shape[0])
-        accepted[filled : filled + take] = block[:take]
-        filled += take
-    return accepted, hits / proposed
+    filled = 0
+    rate = 0.0
+    for idx, rate in _T_blocks(params, rng, count, s):
+        np.take(s.points, idx, axis=0, out=accepted[filled : filled + idx.size], mode="clip")
+        filled += idx.size
+    return accepted, rate
+
+
+def _run_chunks(seed: int, stream: int, total: int, n: int, audit: bool, work) -> list:
+    """Split `total` rows of dimension n into chunks of _chunk_rows(n) rows
+    and return [work(size, _chunk_rng(seed, stream, i), buffers)] in chunk
+    order, computed on min(usable CPUs, chunks) threads, the calling
+    thread among them.  Every thread is joined before this returns or
+    raises; the first failing chunk's exception is re-raised."""
+    rows = _chunk_rows(n)
+    results = [None] * -(-total // rows)
+    workers = min(_usable_cpus(), len(results))
+    failures = []
+    stop = threading.Event()
+
+    def run(first: int) -> None:
+        i = first
+        try:
+            buffers = _Buffers(rows, n, audit)
+            for i in range(first, len(results), workers):
+                if stop.is_set():
+                    return
+                size = min(rows, total - i * rows)
+                results[i] = work(size, _chunk_rng(seed, stream, i), buffers)
+        except BaseException as exc:  # re-raised below, in the calling thread
+            failures.append((i, exc))
+            stop.set()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+        for t in threads:
+            t.join()
+    finally:
+        stop.set()
+        for t in threads:
+            t.join()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
 
 
 def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
@@ -173,9 +280,12 @@ def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
     if config.sample_count < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {config.sample_count}")
     params = config.params
-    hits = 0
-    for rows, rng in _chunks(config.seed, _VOLUME_STREAM, config.sample_count, params.n):
-        hits += int(np.count_nonzero(_propose(params, rng, rows)[1]))
+
+    def hits_in(rows, rng, s):
+        return int(np.count_nonzero(_propose(params, rng, s, rows)))
+
+    hits = sum(_run_chunks(config.seed, _VOLUME_STREAM, config.sample_count, params.n,
+                           False, hits_in))
     if hits == 0:
         raise NumericError(
             f"no proposal of {config.sample_count} landed in T at a={params.a!r}",
@@ -194,38 +304,82 @@ def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
     )
 
 
+def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generator,
+                 s: _Buffers) -> tuple[int, float, float, list]:
+    """Audit `pairs` pairs of points of S; return (violations, smallest
+    cross and largest same squared distance, first witnesses).
+
+    Each point lies in T or -T with probability 1/2.  Accepted points are
+    paired as each proposal block yields them, an odd one carried to the
+    next block, and |x -+ y|^2 is taken from the points of T: negation is
+    exact, so it equals the squared distance of the signed points."""
+    positive = s.positive[: 2 * pairs]
+    for half in (positive[:pairs], positive[pairs:]):
+        np.less(rng.random(out=s.u[:pairs]), 0.5, out=half)
+    same = np.equal(positive[0::2], positive[1::2], out=s.same[:pairs])
+    cross = np.logical_not(same, out=s.cross[:pairs])
+    flip = np.multiply(same, 2.0, out=s.flip[:pairs])  # y's sign relative to x's
+    flip -= 1.0
+    violations = 0
+    min_cross_sq = math.inf
+    max_same_sq = 0.0
+    witnesses = []
+    accepted = s.accepted
+    carried = done = 0
+    for idx, _ in _T_blocks(params, rng, 2 * pairs, s):
+        end = carried + idx.size
+        np.take(s.points, idx, axis=0, out=accepted[carried:end], mode="clip")
+        k = end // 2
+        x, y = accepted[0 : 2 * k : 2], accepted[1 : 2 * k : 2]
+        diff = np.einsum("ij,i->ij", y, flip[done : done + k], out=s.diff[:k])
+        np.subtract(x, diff, out=diff)
+        sq = _sq_norms(diff, s.dist_sq[:k])
+        same_k, cross_k = same[done : done + k], cross[done : done + k]
+        lo = float(np.min(sq, where=cross_k, initial=math.inf))
+        hi = float(np.max(sq, where=same_k, initial=0.0))
+        min_cross_sq = min(min_cross_sq, lo)
+        max_same_sq = max(max_same_sq, hi)
+        if math.sqrt(lo) <= 1.0 or math.sqrt(hi) >= 1.0:
+            dist = np.sqrt(sq)
+            bad = (same_k & (dist >= 1.0)) | (cross_k & (dist <= 1.0))
+            violations += int(np.count_nonzero(bad))
+            for i in np.flatnonzero(bad)[: _MAX_WITNESSES - len(witnesses)]:
+                sx, sy = (1.0 if positive[2 * (done + i) + j] else -1.0 for j in (0, 1))
+                witnesses.append((
+                    tuple(float(v) for v in sx * x[i]),
+                    tuple(float(v) for v in sy * y[i]),
+                    "same_component" if same_k[i] else "cross_component",
+                    float(dist[i]),
+                ))
+        carried = end % 2
+        if carried:
+            accepted[0] = accepted[end - 1]
+        done += k
+    return violations, min_cross_sq, max_same_sq, witnesses
+
+
 def pair_audit(config: SamplerConfig) -> AuditReport:
     """Draw pairs of points in S (each independently in T or -T with
     probability 1/2) and audit the distance-avoidance theorem."""
     if config.sample_count < 10**4:
         raise DomainError(f"need at least 1e4 pairs, got {config.sample_count}")
+    params = config.params
     violations = 0
-    min_cross = math.inf
-    max_same = 0.0
+    min_cross_sq = math.inf
+    max_same_sq = 0.0
     witnesses = []
-    for rows, rng in _chunks(config.seed, _AUDIT_STREAM, config.sample_count, config.params.n):
-        signs = np.where(rng.random(2 * rows) < 0.5, 1.0, -1.0)
-        points, _ = sample_T(config.params, rng, 2 * rows)
-        points *= signs[:, None]
-        x, y = points[0::2], points[1::2]
-        same = signs[0::2] == signs[1::2]
-        dist = np.sqrt(_sq_norms(x - y))
-        min_cross = float(np.min(dist, where=~same, initial=min_cross))
-        max_same = float(np.max(dist, where=same, initial=max_same))
-        bad = (same & (dist >= 1.0)) | (~same & (dist <= 1.0))
-        violations += int(np.count_nonzero(bad))
-        for i in np.flatnonzero(bad)[: _MAX_WITNESSES - len(witnesses)]:
-            witnesses.append((
-                tuple(float(v) for v in x[i]),
-                tuple(float(v) for v in y[i]),
-                "same_component" if same[i] else "cross_component",
-                float(dist[i]),
-            ))
+    chunks = _run_chunks(config.seed, _AUDIT_STREAM, config.sample_count, params.n, True,
+                         lambda pairs, rng, s: _audit_chunk(params, pairs, rng, s))
+    for bad, lo, hi, found in chunks:
+        violations += bad
+        min_cross_sq = min(min_cross_sq, lo)
+        max_same_sq = max(max_same_sq, hi)
+        witnesses.extend(found[: _MAX_WITNESSES - len(witnesses)])
     return AuditReport(
         pairs_tested=config.sample_count,
         violations=violations,
-        min_cross_distance=min_cross,
-        max_same_distance=max_same,
+        min_cross_distance=math.sqrt(min_cross_sq),
+        max_same_distance=math.sqrt(max_same_sq),
         seed=config.seed,
         violating_pairs=tuple(witnesses),
     )

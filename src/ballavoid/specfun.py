@@ -17,6 +17,12 @@ from .errors import DomainError, NumericError
 # (or zero) and the linear representation is no longer trustworthy.
 _LOG_NORMAL_MIN = math.log(2.2250738585072014e-308)
 
+# Cap fractions whose incomplete-beta front factor lies below exp(this) are
+# carried as logs.  A cap is front * h / (n + 1) with h >= 1, so above it
+# the linear cap is a normal double, with full relative precision, for
+# every n below 10^6.
+_LOG_LINEAR_MIN = -650.0
+
 
 @dataclass(frozen=True)
 class LogValue:
@@ -102,6 +108,18 @@ def _beta_continued_fraction(a: float, b: float, z: float) -> float:
     )
 
 
+def _log_beta_front(z: float, alpha: float, beta: float) -> float:
+    """log of z^alpha (1-z)^beta / B(alpha, beta), the factor in front of
+    the continued fraction of I_z(alpha, beta), for positive alpha, beta."""
+    return (
+        math.lgamma(alpha + beta)
+        - math.lgamma(alpha)
+        - math.lgamma(beta)
+        + alpha * math.log(z)
+        + beta * math.log1p(-z)
+    )
+
+
 def reg_inc_beta(z: float, alpha: float, beta: float) -> float:
     """Regularized incomplete beta function I_z(alpha, beta).
 
@@ -115,14 +133,7 @@ def reg_inc_beta(z: float, alpha: float, beta: float) -> float:
         return 0.0
     if z == 1.0:
         return 1.0
-    log_front = (
-        log_gamma(alpha + beta)
-        - log_gamma(alpha)
-        - log_gamma(beta)
-        + alpha * math.log(z)
-        + beta * math.log1p(-z)
-    )
-    front = math.exp(log_front)
+    front = math.exp(_log_beta_front(z, alpha, beta))
     if z < (alpha + 1.0) / (alpha + beta + 2.0):
         return front * _beta_continued_fraction(alpha, beta, z) / alpha
     return 1.0 - front * _beta_continued_fraction(beta, alpha, 1.0 - z) / beta
@@ -133,19 +144,71 @@ def _ball_cap_fraction(n: int, t: float) -> float:
 
     Marginal density is proportional to (1 - x^2)^((n-1)/2); the tail is
     evaluated as I_{1-t^2}((n+1)/2, 1/2)/2 directly, without subtracting
-    from 1, so deep caps keep full relative accuracy.
+    from 1, so deep caps keep full relative accuracy.  Where that takes
+    the complement branch of reg_inc_beta at t < 1/8, it is evaluated as
+    (1 - I_{t^2}(1/2, (n+1)/2))/2 instead: the branch needs 1 - z = t^2,
+    and forming z = 1 - t^2 first would round away 2^-53 / t^2 of it.
     """
     if t >= 1.0:
         return 0.0
-    return 0.5 * reg_inc_beta((1.0 - t) * (1.0 + t), 0.5 * (n + 1), 0.5)
+    z = (1.0 - t) * (1.0 + t)
+    alpha = 0.5 * (n + 1)
+    if t < 0.125 and not z < (alpha + 1.0) / (alpha + 2.5):
+        return 0.5 - 0.5 * reg_inc_beta(t * t, 0.5, alpha)
+    return 0.5 * reg_inc_beta(z, alpha, 0.5)
 
 
-def slab_fraction(n: int, u0: float, u1: float) -> float:
-    """Fraction of the unit n-ball with first coordinate in [u0, u1]."""
+def _log_ball_cap_fraction(n: int, t: float) -> float:
+    """log of _ball_cap_fraction(n, t), t >= 0, without its underflow.
+
+    A cap whose front factor lies below exp(_LOG_LINEAR_MIN) is summed
+    from its factors' logs; any other cap is the log of its linear value.
+    Such fronts occur only on the direct (non-complement) branch of
+    reg_inc_beta, which the first test selects.
+    """
+    if t >= 1.0:
+        return -math.inf
+    z = (1.0 - t) * (1.0 + t)
+    alpha = 0.5 * (n + 1)
+    if z < (alpha + 1.0) / (alpha + 2.5):
+        log_front = _log_beta_front(z, alpha, 0.5)
+        if log_front < _LOG_LINEAR_MIN:
+            return math.log(0.5 * _beta_continued_fraction(alpha, 0.5, z) / alpha) + log_front
+    return math.log(_ball_cap_fraction(n, t))
+
+
+def _log_sub(x: float, y: float) -> float:
+    """log(exp(x) - exp(y)) for x >= y."""
+    if y == -math.inf:
+        return x
+    if y >= x:
+        return -math.inf
+    return x + math.log1p(-math.exp(y - x))
+
+
+def _check_slab(n: int, u0: float, u1: float) -> None:
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
     if not (-1.0 <= u0 <= u1 <= 1.0):
         raise DomainError(f"need -1 <= u0 <= u1 <= 1, got u0={u0!r}, u1={u1!r}")
+
+
+def log_slab_fraction(n: int, u0: float, u1: float) -> float:
+    """Natural log of slab_fraction(n, u0, u1), also where the fraction
+    underflows.  A slab on one side of the center is the difference of two
+    caps, taken in log scale; one around the center is 1 minus two caps of
+    less than 1/2 each, taken linearly as in slab_fraction."""
+    _check_slab(n, u0, u1)
+    if u0 < 0.0 < u1:
+        frac = 1.0 - _ball_cap_fraction(n, u1) - _ball_cap_fraction(n, -u0)
+        return math.log(frac) if frac > 0.0 else -math.inf
+    near, far = (u0, u1) if u0 >= 0.0 else (-u1, -u0)
+    return _log_sub(_log_ball_cap_fraction(n, near), _log_ball_cap_fraction(n, far))
+
+
+def slab_fraction(n: int, u0: float, u1: float) -> float:
+    """Fraction of the unit n-ball with first coordinate in [u0, u1]."""
+    _check_slab(n, u0, u1)
     if u0 >= 0.0:
         return _ball_cap_fraction(n, u0) - _ball_cap_fraction(n, u1)
     if u1 <= 0.0:

@@ -120,6 +120,41 @@ class TestVerify:
         assert json.loads(proc.stdout)["results"]["mc_within_3_sigma"] is True
 
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
+    def test_output_independent_of_usable_cpus(self):
+        # The child cuts its own affinity to one CPU before importing the
+        # package, so verify runs its chunks on a single worker.
+        src = os.path.dirname(os.path.dirname(ballavoid.__file__))
+        argv = ["verify", "--n", "5", "--pairs", "20000", "--samples", "20000",
+                "--format", "json"]
+        code = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from ballavoid.cli import main\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        out = {}
+        for cpus in ("one", "all"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, cpus, *argv],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            out[cpus] = proc.stdout
+        assert out["one"] == out["all"]
+
+    def test_worker_error_exits_one_without_traceback(self, capsys):
+        # The audit's rejection sampler gives up inside a worker thread.
+        code = main(["verify", "--n", "500", "--a", "0.99", "--pairs", "10000",
+                     "--samples", "10000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "rejection acceptance rate below 1e-4" in err
+        assert "Traceback" not in err
+
+
 class TestOptimizeA:
     def test_canonical_recovered(self, capsys):
         code, out = run_cli(capsys, ["optimize-a", "--n", "2", "--format", "json"])

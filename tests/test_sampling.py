@@ -1,17 +1,21 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ballavoid import sampling
 from ballavoid.construction import ConstructionParams, in_S, in_T, inner_approximation
 from ballavoid.errors import DomainError, NumericError
 from ballavoid.sampling import (
     _AUDIT_STREAM,
     _VOLUME_STREAM,
+    CHUNK_ELEMENTS,
     AuditReport,
     SamplerConfig,
-    _chunks,
+    _chunk_rng,
     mc_volume_ratio,
     pair_audit,
     sample_T,
@@ -132,9 +136,81 @@ class TestMcVolumeRatio:
         assert lo <= est.log_value.log_magnitude <= hi
 
 
+# Seeded results of the single-threaded sampler, which every worker count
+# must reproduce bit for bit; the second configuration spans three chunks.
+PINNED = [
+    (
+        SamplerConfig(0, 200_000, ConstructionParams(2)),
+        AuditReport(200_000, 0, 1.0028154618080771, 0.9905498655042342, 0),
+        114_439,
+    ),
+    (
+        SamplerConfig(11, 20_000, ConstructionParams(64)),
+        AuditReport(20_000, 0, 1.2549992708979416, 0.8545223666288954, 11),
+        19_971,
+    ),
+]
+
+
+def use_workers(monkeypatch, count):
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: count)
+
+
+class TestSeededOutput:
+    @pytest.mark.parametrize("cfg,report,hits", PINNED)
+    def test_pinned(self, cfg, report, hits):
+        assert pair_audit(cfg) == report
+        est = mc_volume_ratio(cfg)
+        assert (est.hits, est.proposals) == (hits, cfg.sample_count)
+
+    @pytest.mark.parametrize("cfg,report,hits", PINNED)
+    def test_independent_of_worker_count(self, monkeypatch, cfg, report, hits):
+        results = []
+        for workers in (1, 3):
+            use_workers(monkeypatch, workers)
+            results.append((pair_audit(cfg), mc_volume_ratio(cfg)))
+        assert results[0] == results[1]
+        assert results[0][0] == report
+
+
+class TestWorkerThreads:
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # Ten chunks on five workers, switching threads every microsecond:
+        # a lost or misplaced chunk summary would change the report.
+        cfg = SamplerConfig(4, 20_000, ConstructionParams(256))
+        use_workers(monkeypatch, 1)
+        expected = pair_audit(cfg), mc_volume_ratio(cfg)
+        use_workers(monkeypatch, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert (pair_audit(cfg), mc_volume_ratio(cfg)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    # Three workers on 20000 pairs at n = 64, which span three chunks.
+    @pytest.mark.parametrize("estimator", [pair_audit, mc_volume_ratio])
+    def test_threads_joined_after_success(self, monkeypatch, estimator):
+        use_workers(monkeypatch, 3)
+        before = threading.active_count()
+        estimator(SamplerConfig(0, 20_000, ConstructionParams(64)))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("estimator", [pair_audit, mc_volume_ratio])
+    def test_worker_error_reaches_caller(self, monkeypatch, estimator):
+        # At a = 0.99 and n = 500 the proposal ball all but leaves the
+        # unit ball: the audit's rejection sampler gives up inside a
+        # worker, and the volume estimate finds no hit.
+        use_workers(monkeypatch, 3)
+        before = threading.active_count()
+        with pytest.raises(NumericError):
+            estimator(SamplerConfig(0, 10_000, ConstructionParams(500, 0.99)))
+        assert threading.active_count() == before
+
+
 def test_audit_and_volume_streams_are_disjoint():
-    ((_, audit),) = _chunks(0, _AUDIT_STREAM, 10, 2)
-    ((_, volume),) = _chunks(0, _VOLUME_STREAM, 10, 2)
+    audit = _chunk_rng(0, _AUDIT_STREAM, 0)
+    volume = _chunk_rng(0, _VOLUME_STREAM, 0)
     assert audit.random() != volume.random()
 
 
@@ -167,10 +243,15 @@ class TestPairAudit:
         assert rep.min_cross_distance > 1.0
         assert rep.max_same_distance < 1.0
 
-    def test_memory_bounded(self):
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_memory_bounded(self, monkeypatch, n):
+        # tracemalloc sees every worker's buffers; two workers keep the
+        # bound independent of the machine.  n = 2 has the longest
+        # per-row vectors (2^18 rows per chunk).
+        use_workers(monkeypatch, 2)
         tracemalloc.start()
         try:
-            rep = pair_audit(SamplerConfig(0, 10**6, ConstructionParams(8)))
+            rep = pair_audit(SamplerConfig(0, 10**6, ConstructionParams(n)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -186,6 +267,59 @@ class TestPairAudit:
         assert isinstance(rep, AuditReport)
         assert rep.pairs_tested == 10_000
         assert rep.seed == 5
+
+
+class TestViolationPath:
+    def test_matches_direct_computation(self, monkeypatch):
+        # Accept every proposal of B(a e_1, 1/2) but the first of each
+        # block, and move the last one out to x_1 = 10.  Blocks of even size
+        # then accept odd counts, so that point is carried and paired with
+        # the first point of the next block; same-component pairs holding
+        # it are violations.  The reference draws the same stream, signs
+        # all points and takes the distances of whole chunks at once.
+        propose = sampling._propose
+
+        def accept_all_but_first(params, rng, s, m):
+            keep = propose(params, rng, s, m)
+            keep[:] = True
+            keep[0] = False
+            s.points[m - 1, 0] = 10.0
+            return keep
+
+        monkeypatch.setattr(sampling, "_propose", accept_all_but_first)
+        use_workers(monkeypatch, 3)
+        params = ConstructionParams(256)
+        cfg = SamplerConfig(2, 20_000, params)  # ten chunks
+        violations, witnesses, dists = 0, [], []
+        chunk_rows = CHUNK_ELEMENTS // params.n
+        for i, start in enumerate(range(0, cfg.sample_count, chunk_rows)):
+            rows = min(chunk_rows, cfg.sample_count - start)
+            rng = _chunk_rng(cfg.seed, _AUDIT_STREAM, i)
+            signs = np.where(rng.random(2 * rows) < 0.5, 1.0, -1.0)
+            blocks, filled = [], 0
+            while filled < 2 * rows:
+                m = min(max(2 * rows - filled, 2048), chunk_rows)
+                y = sample_unit_ball(params.n, rng, m) * 0.5
+                y[:, 0] += params.a
+                y[-1, 0] = 10.0
+                blocks.append(y[1:][: 2 * rows - filled])
+                filled += blocks[-1].shape[0]
+            points = np.concatenate(blocks) * signs[:, None]
+            x, y = points[0::2], points[1::2]
+            same = signs[0::2] == signs[1::2]
+            dist = np.sqrt(np.einsum("ij,ij->i", x - y, x - y))
+            bad = (same & (dist >= 1.0)) | (~same & (dist <= 1.0))
+            violations += int(np.count_nonzero(bad))
+            for i in np.flatnonzero(bad)[: 10 - len(witnesses)]:
+                tag = "same_component" if same[i] else "cross_component"
+                witnesses.append((tuple(x[i]), tuple(y[i]), tag, float(dist[i])))
+            dists.append((dist[~same].min(), dist[same].max()))
+        rep = pair_audit(cfg)
+        assert rep.max_same_distance > 8.0
+        assert rep.violations == violations > 0
+        assert rep.violating_pairs == tuple(witnesses)
+        assert rep.min_cross_distance == min(lo for lo, _ in dists)
+        assert rep.max_same_distance == max(hi for _, hi in dists)
 
 
 class TestInnerApproximationAudit:

@@ -10,6 +10,7 @@ from ballavoid.errors import DomainError
 from ballavoid.specfun import (
     LogValue,
     log_gamma,
+    log_slab_fraction,
     reg_inc_beta,
     slab_fraction,
     unit_ball_volume,
@@ -175,3 +176,40 @@ class TestSlabFraction:
                 assert slab_fraction(n, float(u0), float(u1)) == pytest.approx(
                     ref, rel=1e-9
                 )
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    def test_thin_cap_near_center(self, n):
+        # P(x_1 > t) for t down to 1e-9: the complement branch needs
+        # 1 - z = t^2, which z = 1 - t^2 had rounded away.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        alpha = mpmath.mpf(n + 1) / 2
+        for t in (1e-9, 1e-6, 1e-3):
+            exact = mpmath.betainc(alpha, 0.5, 0, 1 - mpmath.mpf(t) ** 2, regularized=True) / 2
+            assert slab_fraction(n, t, 1.0) == pytest.approx(float(exact), rel=2e-14, abs=0)
+
+
+class TestLogSlabFraction:
+    def test_matches_log_of_linear_value(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 7, 100):
+            for u0, u1 in np.sort(rng.uniform(-1.0, 1.0, (30, 2)), axis=1):
+                linear = slab_fraction(n, float(u0), float(u1))
+                assert log_slab_fraction(n, float(u0), float(u1)) == pytest.approx(
+                    math.log(linear), rel=1e-13, abs=1e-13
+                )
+
+    @pytest.mark.parametrize("u0,u1", [(0.8, 1.0), (0.6, 0.9), (-0.9, -0.6)])
+    def test_deep_slabs_beyond_underflow(self, u0, u1):
+        # At n = 5000 these fractions lie far below the smallest double.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        n = 5000
+
+        def cap(t):
+            t = mpmath.mpf(abs(t))
+            return mpmath.betainc(mpmath.mpf(n + 1) / 2, 0.5, 0, 1 - t * t, regularized=True) / 2
+
+        exact = mpmath.log(cap(u0) - cap(u1) if u0 >= 0 else cap(u1) - cap(u0))
+        assert slab_fraction(n, u0, u1) == 0.0
+        assert log_slab_fraction(n, u0, u1) == pytest.approx(float(exact), rel=1e-14)

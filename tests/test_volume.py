@@ -7,6 +7,7 @@ from ballavoid.construction import CANONICAL_OFFSET, chord_coordinate
 from ballavoid.errors import DomainError, NumericError
 from ballavoid.specfun import unit_ball_volume
 from ballavoid.volume import (
+    CLOSED_FORM_REL_ERROR,
     adaptive_gauss_legendre,
     dvol_da,
     lower_bound_vol_T,
@@ -114,6 +115,52 @@ class TestVolT:
         est = vol_T_closed_form(5000)
         assert math.isfinite(est.log_value.log_magnitude)
         assert est.log_value.underflows
+
+
+def mpmath_log_vol_T(n, a, mp):
+    """log vol T from 60-digit incomplete beta values, caps in the
+    complement form I_{1-t^2}((n+1)/2, 1/2)/2."""
+    a = mp.mpf(a)
+    c = (a * a + mp.mpf(3) / 4) / (2 * a)
+
+    def cap(t):
+        if t >= 1:
+            return mp.mpf(0)
+        return mp.betainc((n + 1) / mp.mpf(2), mp.mpf(1) / 2, 0, 1 - t * t, regularized=True) / 2
+
+    u0, u1 = 2 * (mp.mpf(1) / 2 - a), 2 * (c - a)
+    slab = cap(-u1) - cap(-u0) if u1 <= 0 else 1 - cap(u1) - cap(-u0)
+    log_vn = n / mp.mpf(2) * mp.log(mp.pi) - mp.loggamma(1 + mp.mpf(n) / 2)
+    return log_vn + mp.log(mp.power(2, -n) * slab + cap(c))
+
+
+class TestClosedFormErrorBound:
+    @pytest.mark.parametrize("a", [0.55, A, 0.9, 0.99])
+    def test_bound_holds_against_mpmath(self, a):
+        # The deep caps at a = 0.9 and 0.99 underflowed on a linear scale
+        # (log-volume off by 0.04 and 0.13 at n = 3000); at the canonical
+        # offset rounding alone exceeds 1e-12 at n = 3000.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for n in (2, 3, 10, 100, 1000, 3000, 10000):
+            est = vol_T_closed_form(n, a)
+            exact = mpmath_log_vol_T(n, a, mpmath)
+            err = abs(est.log_value.log_magnitude - float(exact))
+            assert err <= est.error_bound, (n, err, est.error_bound)
+            assert est.error_bound == CLOSED_FORM_REL_ERROR * abs(est.log_value.log_magnitude)
+
+    def test_offset_near_chord_equal_to_center(self):
+        # At a = sqrt(3)/2 the chord plane passes through a e_1, so the slab
+        # ends a hair from the small ball's center: caps at t ~ 1e-9 lost
+        # up to 1e-8 of the log-volume when formed from 1 - t^2.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for n in (2, 3, 8, 40):
+            for delta in (-1e-9, 1e-9, -1e-6, 1e-6):
+                a = math.sqrt(0.75) + delta
+                est = vol_T_closed_form(n, a)
+                err = abs(est.log_value.log_magnitude - float(mpmath_log_vol_T(n, a, mpmath)))
+                assert err <= est.error_bound, (n, delta, err)
 
 
 class TestLowerBound:
