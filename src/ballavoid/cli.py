@@ -4,9 +4,6 @@ Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
 2 = usage or I/O error.  JSON output always carries the keys
 {"command", "inputs", "results", "pass"}; text mode prints numbers with
 10 significant digits; CSV is header-first with '.' decimals.
-
-The environment variable BALLAVOID_TOL overrides the default quadrature
-tolerance; explicit --tol flags take precedence.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import math
 import os
 import sys
 
-from .concentration import best_certificate, certifying_constants, concentration_bound
+from .concentration import certifying_constants, concentration_bound, minimal_certified_n
 from .construction import (
     CANONICAL_OFFSET,
     ConstructionParams,
@@ -28,19 +25,6 @@ from .figure import build_figure_spec, junction_csv, render_svg
 from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
 from .volume import DEFAULT_TOL, maximize_a, ratio_S, ratio_table
-
-TOL_ENV_VAR = "BALLAVOID_TOL"
-
-
-def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise DomainError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
-
 
 def _g10(x) -> str:
     if isinstance(x, float):
@@ -198,12 +182,11 @@ def cmd_optimize_a(args) -> int:
 
 def cmd_threshold(args) -> int:
     try:
-        best = best_certificate(args.a, args.c_min, args.c_max, args.resolution)
+        c_lo, c_hi = certifying_constants(args.a, args.c_min, args.c_max)
+        best = minimal_certified_n(c_hi, args.a)
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    certs = certifying_constants(args.a, args.c_min, args.c_max, args.resolution)
-    same_n = [c.c for c in certs if c.n_min == best.n_min]
     direct = ratio_table(2, best.n_min - 1, args.a) if best.n_min > 2 else []
     direct_rows = [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin} for r in direct]
     ok = best.n_min <= 15 and all(r.margin > 0 for r in direct)
@@ -212,16 +195,13 @@ def cmd_threshold(args) -> int:
         "n_min": best.n_min,
         "bound_factor": best.bound_factor,
         "width_ok_from": best.width_ok_from,
-        "certifying_c_min": min(same_n),
-        "certifying_c_max": max(same_n),
+        "certifying_c_min": c_lo,
+        "certifying_c_max": c_hi,
         "direct_checks": direct_rows,
     }
     doc = {
         "command": "threshold",
-        "inputs": {
-            "a": args.a, "c_min": args.c_min, "c_max": args.c_max,
-            "resolution": args.resolution,
-        },
+        "inputs": {"a": args.a, "c_min": args.c_min, "c_max": args.c_max},
         "results": results,
         "pass": ok,
     }
@@ -245,8 +225,7 @@ def cmd_figure(args) -> int:
     rc = _write_out(junction_csv(spec), csv_path)
     if rc:
         return rc
-    w_seg = math.sqrt(spec.small_radius**2 - (spec.threshold - spec.offset) ** 2)
-    w_chord = math.sqrt(spec.outer_radius**2 - spec.chord**2)
+    w_seg, w_chord = spec.segment_half_width, spec.chord_half_width
     equal_widths = abs(w_seg - w_chord) <= 1e-9
     print(f"wrote {args.out} and {csv_path}")
     print(f"chord half-widths: segment {w_seg:.10g}, plane {w_chord:.10g}")
@@ -332,13 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify the unit-distance-avoiding set that beats the (1/2)^n volume bound.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = _default_tol()
 
     p = sub.add_parser("ratio", help="vol S / vol B at one dimension")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=float, default=CANONICAL_OFFSET)
     p.add_argument("--method", choices=["closed_form", "quadrature"], default="closed_form")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_ratio)
 
@@ -367,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=CANONICAL_OFFSET)
     p.add_argument("--c-min", type=float, default=1.0)
     p.add_argument("--c-max", type=float, default=3.0)
-    p.add_argument("--resolution", type=float, default=1e-3)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_threshold)
 

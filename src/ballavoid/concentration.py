@@ -36,6 +36,21 @@ class ConcentrationCertificate:
     width_ok_from: int
 
 
+def _solve_c_star() -> float:
+    """c with bound factor 2 (1 - (2/c) e^(-c^2/2)) = 1, i.e. c^2 e^(c^2) = 16:
+    c^2 = W(16) (Lambert W), by Newton's method on u + log u = log 16, which
+    reaches its fixed point from u = 2 in three steps."""
+    u = 2.0
+    for _ in range(6):
+        u -= (u + math.log(u) - math.log(16.0)) * u / (u + 1.0)
+    return math.sqrt(u)
+
+
+#: Every certifying constant exceeds this one (slab bound: K. Ball, An
+#: Elementary Introduction to Modern Convex Geometry, 1997, Lecture 8).
+C_STAR = _solve_c_star()
+
+
 def concentration_bound(c: float) -> float:
     """1 - (2/c) e^(-c^2/2); may be negative (vacuous) and is returned as-is."""
     if not c >= 1.0:
@@ -43,13 +58,16 @@ def concentration_bound(c: float) -> float:
     return 1.0 - (2.0 / c) * math.exp(-0.5 * c * c)
 
 
-def _width_ok_from(c: float, a: float) -> int:
-    """Smallest n with c/sqrt(n-1) <= 2a - 1.
+def _width_ok_from(c: float, a: float, strict: bool = False) -> int:
+    """Smallest n with c/sqrt(n-1) <= 2a - 1, or < 2a - 1 when strict (the
+    smallest n that admits constants just above c).
 
     The 1e-9 slack keeps constants chosen exactly at the boundary (such as
-    c = (2a-1) sqrt(n-1)) from being pushed up a dimension by rounding.
+    c = (2a-1) sqrt(n-1)) from being pushed up a dimension by rounding;
+    when strict it errs toward the larger dimension.
     """
-    return max(3, math.ceil(1.0 + (c / (2.0 * a - 1.0)) ** 2 - 1e-9))
+    k = (c / (2.0 * a - 1.0)) ** 2
+    return max(3, math.floor(k + 1e-9) + 2 if strict else math.ceil(1.0 + k - 1e-9))
 
 
 def certified_ratio_lower_bound(n: int, c: float, a: float = CANONICAL_OFFSET) -> float:
@@ -75,47 +93,34 @@ def minimal_certified_n(c: float, a: float = CANONICAL_OFFSET) -> ConcentrationC
     """Certificate for the smallest dimension the constant c covers."""
     bound_factor = 2.0 * concentration_bound(c)
     if not bound_factor > 1.0:
-        raise CertificateError(
-            f"c={c} gives bound factor {bound_factor:.6f} <= 1: no certificate"
-        )
-    width_ok_from = _width_ok_from(c, a)
-    return ConcentrationCertificate(
-        c=c, n_min=max(width_ok_from, 3), bound_factor=bound_factor, width_ok_from=width_ok_from
-    )
+        raise CertificateError(f"c={c} gives bound factor {bound_factor:.6f} <= 1: no certificate")
+    n_min = _width_ok_from(c, a)  # at least 3 already
+    return ConcentrationCertificate(c=c, n_min=n_min, bound_factor=bound_factor, width_ok_from=n_min)
 
 
 def certifying_constants(
-    a: float = CANONICAL_OFFSET, c_min: float = 1.0, c_max: float = 3.0, resolution: float = 1e-3
-) -> list[ConcentrationCertificate]:
-    """Certificates for every grid constant with bound factor above 1."""
-    if not resolution <= 1e-3:
-        raise DomainError(f"resolution must be <= 1e-3, got {resolution!r}")
+    a: float = CANONICAL_OFFSET, c_min: float = 1.0, c_max: float = 3.0
+) -> tuple[float, float]:
+    """The constants in [c_min, c_max] that certify the smallest n_min, as
+    the interval (c_lo, c_hi], closed at c_lo if c_lo = c_min > C_STAR.  The
+    bound factor grows with c and the slab needs c <= (2a - 1) sqrt(n - 1),
+    so c_lo = max(c_min, C_STAR) and c_hi = min(c_max, (2a - 1) sqrt(n_min - 1)).
+    """
     if not 1.0 <= c_min <= c_max:
         raise DomainError(f"need 1 <= c_min <= c_max, got [{c_min}, {c_max}]")
-    count = int(round((c_max - c_min) / resolution))
-    grid = sorted({round(c_min + k * resolution, 12) for k in range(count + 1)} | {c_max})
-    certs = []
-    for c in grid:
-        if c > c_max:
-            continue
-        try:
-            certs.append(minimal_certified_n(c, a))
-        except CertificateError:
-            continue
-    return certs
+    if not c_max > C_STAR:
+        raise CertificateError(f"no certifying constant in [{c_min}, {c_max}]")
+    c_lo = max(c_min, C_STAR)
+    n_min = _width_ok_from(c_lo, a, strict=c_lo == C_STAR)
+    return c_lo, min(c_max, (2.0 * a - 1.0) * math.sqrt(n_min - 1.0))
 
 
 def best_certificate(
-    a: float = CANONICAL_OFFSET, c_min: float = 1.0, c_max: float = 3.0, resolution: float = 1e-3
+    a: float = CANONICAL_OFFSET, c_min: float = 1.0, c_max: float = 3.0
 ) -> ConcentrationCertificate:
-    """Grid search over c for the certificate with the smallest n_min.
-
-    Ties are broken toward the larger bound factor (more slack above 1).
-    """
-    certs = certifying_constants(a, c_min, c_max, resolution)
-    if not certs:
-        raise CertificateError(f"no certifying constant in [{c_min}, {c_max}]")
-    return min(certs, key=lambda cert: (cert.n_min, -cert.bound_factor))
+    """The certificate with the smallest n_min over c in [c_min, c_max],
+    at the largest such c (the most slack above 1)."""
+    return minimal_certified_n(certifying_constants(a, c_min, c_max)[1], a)
 
 
 def validate_theorem(n: int, c: float) -> bool:

@@ -4,16 +4,17 @@ The one-sided body T is the intersection of the open half-space x_1 > 1/2,
 the open ball of radius 1/2 centered at a*e_1, and the open unit ball; the
 full set S is T together with its reflection through the origin.
 
-All membership tests use plain floating-point comparisons with the strict
-inequalities of the definition: boundary points are outside.  Points are
-plain numpy arrays; the distinguished axis is coordinate 0.
+Every membership test, the sampler's included, goes through one kernel
+that compares x_1 and |x|^2 with the strict inequalities of the
+definition: boundary points are outside.  Points are plain numpy arrays;
+the distinguished axis is coordinate 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -55,25 +56,20 @@ class ConstructionParams:
     """Dimension and offset defining T and S.
 
     The cap radius and half-space threshold are fixed at 1/2 by the
-    construction; they are stored so invariants can refer to them by name.
+    construction; they are class constants so invariants can refer to
+    them by name.
     """
 
     n: int
     a: float = CANONICAL_OFFSET
-    cap_radius: float = field(default=0.5)
-    threshold: float = field(default=0.5)
+    cap_radius: ClassVar[float] = 0.5
+    threshold: ClassVar[float] = 0.5
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
             raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
         if not 0.5 < self.a < 1.0:
             raise DomainError(f"offset must lie in (1/2, 1), got {self.a!r}")
-        if self.cap_radius != 0.5 or self.threshold != 0.5:
-            raise DomainError("cap_radius and threshold are fixed at 1/2")
-
-    @property
-    def chord(self) -> float:
-        return chord_coordinate(self.a)
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,46 @@ class PairClass:
 
     tag: str  # same_component | cross_component | outside
     distance: float
+
+
+def _tightened(params: ConstructionParams, eps: float) -> tuple[float, float, float]:
+    """(t, r, R) = (1/2 + eps, 1/2 - eps, 1 - eps): the threshold, small and
+    outer radius of T tightened by eps, which must lie in [0, (a - 1/2)/2)."""
+    if not 0.0 <= eps < (params.a - 0.5) / 2.0:
+        raise DomainError(f"epsilon must lie in [0, (a - 1/2)/2), got {eps!r} for a={params.a!r}")
+    return params.threshold + eps, params.cap_radius - eps, 1.0 - eps
+
+
+def _in_T_mask(params: ConstructionParams, x1: np.ndarray, sq: np.ndarray, eps: float,
+               out: np.ndarray, work: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """The definition of T, written once: out = (t < x1) & (sq < R^2) &
+    (sq - 2a x1 < r^2 - a^2) for first coordinates x1 and squared norms sq,
+    with (t, r, R) from _tightened; strict at eps = 0 and non-strict for
+    eps > 0 (the closed inner approximation).  work (float) and test (bool)
+    are scratch arrays shaped like x1."""
+    t, r, outer = _tightened(params, eps)
+    a = params.a
+    less = np.less if eps == 0.0 else np.less_equal
+    less(t, x1, out=out)
+    out &= less(sq, outer * outer, out=test)
+    np.multiply(x1, -2.0 * a, out=work)
+    work += sq
+    out &= less(work, r * r - a * a, out=test)
+    return out
+
+
+def component(params: ConstructionParams, X, eps: float = 0.0) -> np.ndarray:
+    """Component labels of the points X (shape (..., n)) as int8: +1 in T,
+    -1 in -T, 0 outside S.  With eps > 0 the closed inner approximation
+    (every inequality tightened by eps) is tested instead."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 0 or X.shape[-1] != params.n:
+        raise DomainError(f"points have shape {X.shape}, expected (..., {params.n})")
+    x1 = X[..., 0]
+    inside = np.empty(x1.shape, dtype=bool)
+    _in_T_mask(params, np.abs(x1), np.einsum("...i,...i->...", X, X), eps,
+               inside, np.empty(x1.shape), np.empty(x1.shape, dtype=bool))
+    return np.where(inside, np.sign(x1), 0.0).astype(np.int8)
 
 
 def _check_point(params: ConstructionParams, x) -> np.ndarray:
@@ -93,19 +129,12 @@ def _check_point(params: ConstructionParams, x) -> np.ndarray:
 
 def in_T(params: ConstructionParams, x) -> bool:
     """Strict membership in the one-sided body T."""
-    x = _check_point(params, x)
-    if not x[0] > params.threshold:
-        return False
-    center_sq = (x[0] - params.a) ** 2 + float(np.dot(x[1:], x[1:]))
-    if not center_sq < params.cap_radius**2:
-        return False
-    return float(np.dot(x, x)) < 1.0
+    return bool(component(params, _check_point(params, x)) == 1)
 
 
 def in_S(params: ConstructionParams, x) -> bool:
     """Membership in S = T union -T."""
-    x = _check_point(params, x)
-    return in_T(params, x) or in_T(params, -x)
+    return bool(component(params, _check_point(params, x)) != 0)
 
 
 def classify_pair(params: ConstructionParams, x, y) -> PairClass:
@@ -119,8 +148,7 @@ def classify_pair(params: ConstructionParams, x, y) -> PairClass:
     x = _check_point(params, x)
     y = _check_point(params, y)
     distance = float(np.linalg.norm(x - y))
-    sx = 1 if in_T(params, x) else (-1 if in_T(params, -x) else 0)
-    sy = 1 if in_T(params, y) else (-1 if in_T(params, -y) else 0)
+    sx, sy = component(params, np.stack([x, y]))
     if sx == 0 or sy == 0:
         return PairClass("outside", distance)
     if sx == sy:
@@ -133,24 +161,11 @@ def inner_approximation(
 ) -> Callable[[np.ndarray], bool]:
     """Closed membership predicate with every strict inequality tightened
     by epsilon; a subset of S by construction."""
-    if not 0.0 < epsilon < (params.a - 0.5) / 2.0:
-        raise DomainError(
-            f"epsilon must lie in (0, (a - 1/2)/2), got {epsilon!r} for a={params.a!r}"
-        )
-    a = params.a
-    r = params.cap_radius - epsilon
-    t = params.threshold + epsilon
-    outer = 1.0 - epsilon
-
-    def one_side(x: np.ndarray) -> bool:
-        if not x[0] >= t:
-            return False
-        if not (x[0] - a) ** 2 + float(np.dot(x[1:], x[1:])) <= r * r:
-            return False
-        return float(np.dot(x, x)) <= outer * outer
+    if not epsilon > 0.0:
+        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    _tightened(params, epsilon)
 
     def predicate(x) -> bool:
-        x = _check_point(params, x)
-        return one_side(x) or one_side(-x)
+        return bool(component(params, _check_point(params, x), epsilon) != 0)
 
     return predicate

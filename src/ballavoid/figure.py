@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .construction import ConstructionParams
+from .construction import ConstructionParams, _tightened
 from .errors import DomainError
 
 
@@ -37,11 +37,10 @@ class Segment:
 class FigureSpec:
     """Arcs and segments of both components of S_2 plus canvas styling."""
 
-    threshold: float
     small_radius: float
-    outer_radius: float
     offset: float
-    chord: float
+    segment_half_width: float
+    chord_half_width: float
     scale: float = 256.0
     arcs: list[Arc] = field(default_factory=list)
     segments: list[Segment] = field(default_factory=list)
@@ -55,12 +54,8 @@ def build_figure_spec(
     approximation with every inequality tightened by epsilon."""
     if params.n != 2:
         raise DomainError(f"the figure is planar; got dimension {params.n}")
-    if not 0.0 <= epsilon < (params.a - 0.5) / 2.0:
-        raise DomainError(f"epsilon must lie in [0, (a - 1/2)/2), got {epsilon!r}")
+    t, r, outer = _tightened(params, epsilon)
     a = params.a
-    t = params.threshold + epsilon
-    r = params.cap_radius - epsilon
-    outer = 1.0 - epsilon
     # Chord plane of the circles |x| = outer and |x - a e_1| = r.
     c = (outer * outer - r * r + a * a) / (2.0 * a)
     w_seg = math.sqrt(r * r - (t - a) ** 2)
@@ -86,11 +81,10 @@ def build_figure_spec(
             ]
         )
     return FigureSpec(
-        threshold=t,
         small_radius=r,
-        outer_radius=outer,
         offset=a,
-        chord=c,
+        segment_half_width=w_seg,
+        chord_half_width=w_chord,
         scale=scale,
         arcs=arcs,
         segments=segments,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import ConstructionParams
+from .construction import ConstructionParams, _in_T_mask
 from .errors import DomainError, NumericError
 from .specfun import LogValue
 from .volume import VolumeEstimate
@@ -136,7 +136,7 @@ class _Buffers:
         self.u = np.empty(rows)
         self.sq = np.empty(rows)
         self.keep = np.empty(rows, dtype=bool)
-        self.above = np.empty(rows, dtype=bool)
+        self.test = np.empty(rows, dtype=bool)
         if audit:
             half = rows // 2 + 1  # pairs completed by one block and a carried point
             self.accepted = np.empty((rows + 1, n))
@@ -183,12 +183,10 @@ def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.nda
 def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, m: int):
     """Overwrite s.points[:m] with uniform points of B(a e_1, 1/2); return
     the mask of those in T."""
-    y, sq, keep, above = s.points[:m], s.sq[:m], s.keep[:m], s.above[:m]
-    _fill_ball(rng, y, s.u[:m], sq, 0.5)
+    y, sq, u = s.points[:m], s.sq[:m], s.u[:m]
+    _fill_ball(rng, y, u, sq, 0.5)
     y[:, 0] += params.a
-    np.less(_sq_norms(y, sq), 1.0, out=keep)
-    keep &= np.greater(y[:, 0], params.threshold, out=above)
-    return keep
+    return _in_T_mask(params, y[:, 0], _sq_norms(y, sq), 0.0, s.keep[:m], u, s.test[:m])
 
 
 def _T_blocks(

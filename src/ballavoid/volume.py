@@ -21,7 +21,7 @@ import numpy as np
 
 from .construction import CANONICAL_OFFSET, chord_coordinate
 from .errors import DomainError, NumericError
-from .specfun import LogValue, log_slab_fraction, slab_fraction, unit_ball_volume
+from .specfun import LogValue, log_slab_fraction, unit_ball_volume
 
 LOG_HALF = math.log(0.5)
 LOG_TWO = math.log(2.0)
@@ -164,6 +164,13 @@ def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET, tol: float = DEFAULT_T
     return VolumeEstimate(LogValue(float(log_vol)), "quadrature", max(rel_slab, rel_cap))
 
 
+def _log_small_ball_slab(n: int, log_vn: float, a: float, upper: float) -> float:
+    """log vol of the radius-1/2 ball about a e_1 between the planes
+    x_1 = 1/2 and x_1 = a + upper: (1/2)^n v_n times the slab fraction of
+    the rescaled unit ball; log_vn = log v_n."""
+    return n * LOG_HALF + log_vn + log_slab_fraction(n, 2.0 * (0.5 - a), 2.0 * upper)
+
+
 def vol_T_closed_form(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     """vol T in closed form via regularized-incomplete-beta slab fractions.
 
@@ -176,21 +183,20 @@ def vol_T_closed_form(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     c = chord_coordinate(a)
     n = int(n)
     log_vn = unit_ball_volume(n).log_magnitude
-    log_slab = n * LOG_HALF + log_vn + log_slab_fraction(n, 2.0 * (0.5 - a), 2.0 * (c - a))
+    log_slab = _log_small_ball_slab(n, log_vn, a, c - a)
     log_cap = log_vn + log_slab_fraction(n, c, 1.0)
     log_vol = float(np.logaddexp(log_slab, log_cap))
     return VolumeEstimate(LogValue(log_vol), "closed_form", CLOSED_FORM_REL_ERROR * abs(log_vol))
 
 
 def lower_bound_vol_T(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
-    """The slab piece alone: a lower bound for vol T (the cap is dropped)."""
+    """The slab piece alone: a lower bound for vol T (the cap is dropped).
+    error_bound is CLOSED_FORM_REL_ERROR * |log vol|, as for the closed form."""
     _check_params(n, a)
-    c = chord_coordinate(a)
     n = int(n)
-    upper = min(a - 0.5, c - a)  # stay inside the unit ball for any offset
-    slab = slab_fraction(n, 2.0 * (0.5 - a), 2.0 * upper)
-    log_slab = n * LOG_HALF + unit_ball_volume(n).log_magnitude + math.log(slab)
-    return VolumeEstimate(LogValue(float(log_slab)), "lower_bound", 1e-12)
+    upper = min(a - 0.5, chord_coordinate(a) - a)  # stay inside the unit ball for any offset
+    log_slab = _log_small_ball_slab(n, unit_ball_volume(n).log_magnitude, a, upper)
+    return VolumeEstimate(LogValue(log_slab), "lower_bound", CLOSED_FORM_REL_ERROR * abs(log_slab))
 
 
 def ratio_S(

@@ -8,6 +8,8 @@ import pytest
 
 import ballavoid
 from ballavoid.cli import main
+from ballavoid.concentration import C_STAR
+from ballavoid.construction import CANONICAL_OFFSET
 
 
 def run_cli(capsys, argv):
@@ -189,6 +191,16 @@ class TestThreshold:
         assert doc["results"]["n_min"] == 28
         assert code == 1  # exceeds the n <= 15 gate even though all margins pass
 
+    def test_exact_certifying_interval(self, capsys):
+        code, out = run_cli(capsys, ["threshold", "--format", "json"])
+        doc = json.loads(out)
+        assert "resolution" not in doc["inputs"]
+        res = doc["results"]
+        assert res["certifying_c_min"] == C_STAR
+        assert res["c"] == res["certifying_c_max"]
+        assert res["c"] == pytest.approx((2 * CANONICAL_OFFSET - 1) * 14**0.5, rel=1e-15)
+        assert res["bound_factor"] == pytest.approx(1.0350657542, abs=1e-10)
+
     def test_no_certificate_range(self, capsys):
         code, _ = run_cli(capsys, ["threshold", "--c-min", "1", "--c-max", "1.2"])
         assert code == 1
@@ -247,18 +259,23 @@ class TestConcentrationCheck:
         assert "--c-list" in capsys.readouterr().err
 
 
-class TestTolEnvVar:
-    def test_env_var_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLAVOID_TOL", "1e-8")
-        code, out = run_cli(capsys, ["ratio", "--n", "2", "--format", "json"])
-        assert code == 0
-        assert json.loads(out)["inputs"]["tol"] == 1e-8
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLAVOID_TOL", "1e-8")
-        code, out = run_cli(
-            capsys, ["ratio", "--n", "2", "--tol", "1e-10", "--format", "json"]
+class TestTolDefault:
+    def test_environment_does_not_set_tol(self):
+        # A fresh interpreter, so a traceback on stderr would show; an
+        # unparsable value once crashed the parser outside main's handler.
+        src = os.path.dirname(os.path.dirname(ballavoid.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballavoid.cli", "ratio", "--n", "2", "--format", "json"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "BALLAVOID_TOL": "abc"},
         )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["inputs"]["tol"] == 1e-12
+
+    def test_flag_sets_tol(self, capsys):
+        code, out = run_cli(capsys, ["ratio", "--n", "2", "--tol", "1e-10", "--format", "json"])
+        assert code == 0
         assert json.loads(out)["inputs"]["tol"] == 1e-10
 
 

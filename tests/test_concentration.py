@@ -3,6 +3,7 @@ import math
 import pytest
 
 from ballavoid.concentration import (
+    C_STAR,
     best_certificate,
     certified_ratio_lower_bound,
     certifying_constants,
@@ -84,28 +85,64 @@ class TestMinimalCertifiedN:
         assert all(b >= a for a, b in zip(widths, widths[1:]))
 
 
+def scan_certificates(a, c_min, c_max, step=1e-4):
+    """minimal_certified_n at every grid constant in [c_min, c_max]."""
+    certs = []
+    for k in range(round((c_max - c_min) / step) + 1):
+        try:
+            certs.append(minimal_certified_n(min(c_min + k * step, c_max), a))
+        except CertificateError:
+            continue
+    return certs
+
+
 class TestBestCertificate:
     def test_best_certificate_reaches_fifteen(self):
         cert = best_certificate()
         assert cert.n_min <= 15
         assert cert.bound_factor > 1.0
 
-    def test_refinement_never_worsens(self):
-        coarse = best_certificate(resolution=1e-3)
-        fine = best_certificate(resolution=2.5e-4)
-        assert fine.n_min <= coarse.n_min
+    @pytest.mark.parametrize("a", [A, 0.6, 0.9])
+    @pytest.mark.parametrize("c_min, c_max", [(1.0, 3.0), (2.0, 2.0), (1.5, 1.7)])
+    def test_matches_brute_force_scan(self, a, c_min, c_max):
+        scan = scan_certificates(a, c_min, c_max)
+        n_min = min(cert.n_min for cert in scan)
+        c_top = max(cert.c for cert in scan if cert.n_min == n_min)
+        best = best_certificate(a, c_min, c_max)
+        assert best.n_min == n_min
+        assert c_top - 1e-12 <= best.c <= c_top + 1e-4
+        c_lo, c_hi = certifying_constants(a, c_min, c_max)
+        assert c_hi == best.c
+        assert c_lo <= min(cert.c for cert in scan if cert.n_min == n_min)
 
-    def test_grid_contains_two(self):
-        certs = certifying_constants()
-        assert any(abs(cert.c - 2.0) < 1e-12 for cert in certs)
+    def test_canonical_interval(self):
+        c_lo, c_hi = certifying_constants()
+        assert c_lo == C_STAR
+        assert c_hi == pytest.approx((2 * A - 1) * math.sqrt(14), rel=1e-15)
+        assert minimal_certified_n(c_hi).n_min == 15
 
     def test_no_certificate_in_vacuous_range(self):
         with pytest.raises(CertificateError):
             best_certificate(c_min=1.0, c_max=1.3)
+        with pytest.raises(CertificateError):
+            best_certificate(c_min=1.0, c_max=C_STAR)
 
-    def test_resolution_precondition(self):
+    def test_range_precondition(self):
         with pytest.raises(DomainError):
-            best_certificate(resolution=0.01)
+            certifying_constants(c_min=2.0, c_max=1.5)
+
+
+class TestCStar:
+    def test_matches_lambert_w(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        exact = float(mpmath.sqrt(mpmath.lambertw(16)))
+        assert abs(C_STAR - exact) <= math.ulp(exact)
+
+    def test_bound_factor_crosses_one(self):
+        assert 2 * concentration_bound(C_STAR) == pytest.approx(1.0, abs=1e-15)
+        assert 2 * concentration_bound(C_STAR * (1 + 1e-12)) > 1.0
+        assert 2 * concentration_bound(C_STAR * (1 - 1e-12)) < 1.0
 
 
 class TestValidateTheorem:

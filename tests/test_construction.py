@@ -10,7 +10,9 @@ from ballavoid.construction import (
     ConstructionParams,
     canonical_offset,
     chord_coordinate,
+    _in_T_mask,
     classify_pair,
+    component,
     equidistance_residual,
     in_S,
     in_T,
@@ -101,10 +103,6 @@ class TestParams:
     def test_dimension_enforced(self):
         with pytest.raises(DomainError):
             ConstructionParams(1)
-
-    def test_fixed_constants_enforced(self):
-        with pytest.raises(DomainError):
-            ConstructionParams(3, cap_radius=0.4)
 
 
 class TestMembership:
@@ -207,3 +205,67 @@ class TestInnerApproximation:
                 hits += 1
                 assert in_S(p, x)
         assert hits > 0
+
+
+def definition_in_T(a, y, eps):
+    """The paper's T, every inequality tightened by eps, transcribed
+    directly: y_1 > 1/2, (y_1 - a)^2 + sum_{i>=2} y_i^2 < 1/4 and
+    sum_i y_i^2 < 1.  Returns (membership, distance to the nearest of the
+    three boundaries in the value of its left-hand side)."""
+    t, r, outer = 0.5 + eps, 0.5 - eps, 1.0 - eps
+    lhs = [t - y[0],
+           (y[0] - a) ** 2 + sum(v * v for v in y[1:]) - r * r,
+           sum(v * v for v in y) - outer * outer]
+    return all(v < 0 for v in lhs), min(abs(v) for v in lhs)
+
+
+class TestComponent:
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_matches_definition(self, n, eps):
+        p = ConstructionParams(n)
+        rng = np.random.default_rng(100 + n)
+        # Points near both small-ball centers, plus a wide box.
+        near = rng.normal(0.0, 0.35 / math.sqrt(n), (3000, n))
+        near[:, 0] += rng.choice([-p.a, p.a], 3000)
+        X = np.vstack([near, rng.uniform(-1.1, 1.1, (1000, n))])
+        labels = component(p, X, eps)
+        assert labels.dtype == np.int8 and labels.shape == (len(X),)
+        checked = {-1: 0, 0: 0, 1: 0}
+        for x, label in zip(X, labels):
+            pos, gap_pos = definition_in_T(p.a, x.tolist(), eps)
+            neg, gap_neg = definition_in_T(p.a, (-x).tolist(), eps)
+            if min(gap_pos, gap_neg) < 1e-9:
+                continue
+            assert label == (1 if pos else -1 if neg else 0), (x, label)
+            checked[int(label)] += 1
+        assert min(checked.values()) > 100, checked
+
+    def test_labels_keep_leading_shape(self):
+        p = ConstructionParams(3)
+        X = np.zeros((2, 4, 3))
+        X[0, 1, 0] = p.a
+        X[1, 2, 0] = -p.a
+        labels = component(p, X)
+        assert labels.shape == (2, 4)
+        assert labels[0, 1] == 1 and labels[1, 2] == -1
+        assert np.count_nonzero(labels) == 2
+
+    def test_shape_and_epsilon_checked(self):
+        p = ConstructionParams(3)
+        with pytest.raises(DomainError):
+            component(p, np.zeros((5, 4)))
+        with pytest.raises(DomainError):
+            component(p, np.zeros((5, 3)), -1e-3)
+        with pytest.raises(DomainError):
+            component(p, np.zeros((5, 3)), (p.a - 0.5) / 2)
+
+    def test_kernel_rejects_point_outside_small_ball(self):
+        # x_1 > 1/2 and |x| < 1, but |x - a e_1|^2 = 0.3806 > 1/4.
+        p = ConstructionParams(2)
+        x = np.array([0.55, 0.6])
+        assert x[0] > 0.5 and x @ x < 1.0
+        assert not in_T(p, x)
+        out, test = np.empty(1, dtype=bool), np.empty(1, dtype=bool)
+        _in_T_mask(p, x[:1], np.array([x @ x]), 0.0, out, np.empty(1), test)
+        assert not out[0]

@@ -83,6 +83,20 @@ class TestSampleT:
         assert np.all((pts[:, 0] - p.a) ** 2 + perp < 0.25)
         assert np.all(np.einsum("ij,ij->i", pts, pts) < 1.0)
 
+    def test_keep_mask_is_the_definition(self, monkeypatch):
+        # Proposals placed by hand, one outside B(a e_1, 1/2) with x_1 > 1/2
+        # and |x| < 1: the mask must accept exactly the points of T.
+        p = ConstructionParams(2)
+        pts = np.array([[0.55, 0.6], [p.a, 0.0], [0.95, 0.4], [0.45, 0.1], [0.8, 0.3]])
+
+        def place(rng, g, u, sq, radius):
+            g[:] = pts
+            g[:, 0] -= p.a
+
+        monkeypatch.setattr(sampling, "_fill_ball", place)
+        keep = sampling._propose(p, None, sampling._Buffers(len(pts), 2), len(pts))
+        assert keep.tolist() == [in_T(p, x) for x in pts] == [False, True, False, False, True]
+
     @pytest.mark.parametrize("n,expected", ACCEPTANCE)
     def test_acceptance_rate(self, n, expected):
         _, rate = sample_T(ConstructionParams(n), rng_for(5), N_SAMPLES)
