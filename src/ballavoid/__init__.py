@@ -1,82 +1,34 @@
 """Certification toolkit for a unit-distance-avoiding subset of the unit
-ball whose volume beats (1/2)^n of the ball in every dimension n >= 2."""
+ball whose volume beats (1/2)^n of the ball in every dimension n >= 2.
 
-from .construction import (
-    CANONICAL_OFFSET,
-    ConstructionParams,
-    PairClass,
-    canonical_offset,
-    chord_coordinate,
-    classify_pair,
-    equidistance_residual,
-    in_S,
-    in_T,
-    inner_approximation,
-)
-from .concentration import (
-    ConcentrationCertificate,
-    best_certificate,
-    certified_ratio_lower_bound,
-    concentration_bound,
-    minimal_certified_n,
-    validate_theorem,
-)
-from .errors import CertificateError, DomainError, GeometryError, NumericError
-from .sampling import AuditReport, SamplerConfig, mc_volume_ratio, pair_audit, sample_T, sample_unit_ball
-from .specfun import LogValue, log_gamma, reg_inc_beta, slab_fraction, unit_ball_volume
-from .volume import (
-    RatioRow,
-    VolumeEstimate,
-    dvol_da,
-    lower_bound_vol_T,
-    maximize_a,
-    ratio_S,
-    ratio_table,
-    vol_T_closed_form,
-    vol_T_quadrature,
-)
+The names below are the ones README.md and the CLI use; everything else
+is imported from its submodule."""
+
+from .concentration import best_certificate, concentration_bound, minimal_certified_n
+from .construction import CANONICAL_OFFSET, ConstructionParams, equidistance_residual
+from .errors import CertificateError, DomainError, NumericError
+from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
+from .specfun import LogValue, slab_fraction
+from .volume import maximize_a, ratio_S, ratio_table
 
 __all__ = [
     "CANONICAL_OFFSET",
-    "AuditReport",
     "CertificateError",
-    "ConcentrationCertificate",
     "ConstructionParams",
     "DomainError",
-    "GeometryError",
     "LogValue",
     "NumericError",
-    "PairClass",
-    "RatioRow",
     "SamplerConfig",
-    "VolumeEstimate",
     "best_certificate",
-    "canonical_offset",
-    "certified_ratio_lower_bound",
-    "chord_coordinate",
-    "classify_pair",
     "concentration_bound",
-    "dvol_da",
     "equidistance_residual",
-    "in_S",
-    "in_T",
-    "inner_approximation",
-    "log_gamma",
-    "lower_bound_vol_T",
     "maximize_a",
     "mc_volume_ratio",
     "minimal_certified_n",
     "pair_audit",
     "ratio_S",
     "ratio_table",
-    "reg_inc_beta",
-    "sample_T",
-    "sample_unit_ball",
     "slab_fraction",
-    "unit_ball_volume",
-    "validate_theorem",
-    "vol_T_closed_form",
-    "vol_T_quadrature",
 ]
 
 __version__ = "0.1.0"

@@ -236,6 +236,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_concentration_check(args) -> int:
+    if args.n_max < 3:
+        raise DomainError(f"the inequality holds for n >= 3; --n-max {args.n_max} checks nothing")
     rows = []
     ok = True
     for n in range(3, args.n_max + 1):

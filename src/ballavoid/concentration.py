@@ -66,7 +66,12 @@ def _width_ok_from(c: float, a: float, strict: bool = False) -> int:
     c = (2a-1) sqrt(n-1)) from being pushed up a dimension by rounding;
     when strict it errs toward the larger dimension.
     """
-    k = (c / (2.0 * a - 1.0)) ** 2
+    if not 0.5 < a < 1.0:
+        raise DomainError(f"offset must lie in (1/2, 1), got {a!r}")
+    k = c / (2.0 * a - 1.0)
+    k *= k
+    if not math.isfinite(k):
+        raise DomainError(f"c={c!r} fits the slab only in dimensions beyond the float range")
     return max(3, math.floor(k + 1e-9) + 2 if strict else math.ceil(1.0 + k - 1e-9))
 
 

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 from .construction import ConstructionParams, _tightened
 from .errors import DomainError
 
+# Side of the square canvas, in model units (the unit disk plus a margin).
+_CANVAS = 2.2
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -54,6 +57,8 @@ def build_figure_spec(
     approximation with every inequality tightened by epsilon."""
     if params.n != 2:
         raise DomainError(f"the figure is planar; got dimension {params.n}")
+    if not (scale > 0.0 and math.isfinite(_CANVAS * scale)):
+        raise DomainError(f"scale must be positive with a finite canvas, got {scale!r}")
     t, r, outer = _tightened(params, epsilon)
     a = params.a
     # Chord plane of the circles |x| = outer and |x - a e_1| = r.
@@ -113,7 +118,7 @@ def _component_path(spec: FigureSpec, arcs: list[Arc], segment: Segment) -> str:
 def render_svg(spec: FigureSpec) -> str:
     """Standalone SVG for the figure described by `spec`."""
     s = spec.scale
-    size = math.ceil(2.2 * s)
+    size = math.ceil(_CANVAS * s)
     half = size / 2
     thin = 1.5 / s
     dash = f"{6.0 / s:.6g} {4.0 / s:.6g}"

@@ -6,10 +6,13 @@ small ball and a cap of the unit ball:
     vol T = int_{1/2-a}^{c-a} v_{n-1} (1/4 - x^2)^((n-1)/2) dx
           + int_{c}^{1}       v_{n-1} (1  - x^2)^((n-1)/2) dx
 
-(c - a reduces to a - 1/2 at the canonical offset).  Both pieces are
-evaluated in log scale: the integrand is divided by its maximum on the
-interval before quadrature, so the same code path is exact for n = 2 and
-underflow-free for n in the thousands.
+(c - a reduces to a - 1/2 at the canonical offset).  With x = sin(phi)/2
+in the slab and x = sin(phi) in the cap, both are J = int cos^n(phi) dphi,
+
+    vol T = v_{n-1} [(1/2)^n J(-asin(2a-1), asin(2(c-a))) + J(asin c, pi/2)],
+
+whose integrand is smooth at both ends; the quadrature route takes it in
+log scale relative to its peak, so one code path serves every n.
 """
 
 from __future__ import annotations
@@ -127,48 +130,50 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int
     return total, err
 
 
-def _log_piece_quadrature(log_peak: float, g, lo: float, hi: float, tol: float):
-    """log of int exp(log_peak) * g(x) dx where 0 <= g <= 1 on [lo, hi]."""
-    value, err = adaptive_gauss_legendre(g, lo, hi, tol)
-    if value <= 0.0:
-        return -math.inf, 0.0
-    return log_peak + math.log(value), err / value
+def _log_cos_power(n: int, lo: float, hi: float, tol: float):
+    """(log J, relative error) for J = int_lo^hi cos^n, -pi/2 <= lo < hi <= pi/2.
+
+    The integrand is (cos(p + d) / cos p)^n = exp(n log1p(-2 sin^2(d/2) - tan(p) sin d)),
+    exactly 1 at the peak p (0 clipped to [lo, hi]).  log cos is concave with
+    curvature <= -1, so it is below e^-60 where n (|tan p| |d| + d^2/2) >= 60;
+    cutting the interval there lets the first panel see the peak.
+    """
+    p = min(max(0.0, lo), hi)
+    slope = math.tan(p)
+    reach = math.sqrt(slope * slope + 2.0 * 60.0 / n) - abs(slope)
+
+    def g(d):
+        return np.exp(n * np.log1p(-2.0 * np.sin(0.5 * d) ** 2 - slope * np.sin(d)))
+
+    value, err = adaptive_gauss_legendre(g, max(lo - p, -reach), min(hi - p, reach), tol)
+    return n * math.log(math.cos(p)) + math.log(value), err / value
 
 
 def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET, tol: float = DEFAULT_TOL) -> VolumeEstimate:
-    """vol T by adaptive quadrature of the two displayed integrals."""
+    """vol T by adaptive quadrature of the two J integrals displayed above."""
     _check_params(n, a)
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
+    n = int(n)
     c = chord_coordinate(a)
-    p = 0.5 * (n - 1)
-
-    # Slab piece: peak of (1/4 - x^2)^p on [1/2-a, c-a] is at x = 0.
-    def g_slab(x):
-        return np.exp(p * np.log1p(-4.0 * x * x))
-
-    log_slab, rel_slab = _log_piece_quadrature(p * math.log(0.25), g_slab, 0.5 - a, c - a, tol)
-
-    # Cap piece: (1 - x^2)^p on [c, 1] peaks at the lower endpoint.
-    log_one_minus_c2 = math.log1p(-c * c)
-
-    def g_cap(x):
-        # x can round to 1.0 at the deepest panels; log1p(-1) = -inf is the
-        # right limit, so only the warning is suppressed.
-        with np.errstate(divide="ignore"):
-            return np.exp(p * (np.log1p(-x * x) - log_one_minus_c2))
-
-    log_cap, rel_cap = _log_piece_quadrature(p * log_one_minus_c2, g_cap, c, 1.0, tol)
-
-    log_vol = unit_ball_volume(int(n) - 1).log_magnitude + np.logaddexp(log_slab, log_cap)
+    log_slab, rel_slab = _log_cos_power(n, -math.asin(2.0 * a - 1.0), math.asin(2.0 * (c - a)), tol)
+    log_cap, rel_cap = _log_cos_power(n, math.asin(c), 0.5 * math.pi, tol)
+    log_vol = unit_ball_volume(n - 1).log_magnitude + np.logaddexp(n * LOG_HALF + log_slab, log_cap)
     return VolumeEstimate(LogValue(float(log_vol)), "quadrature", max(rel_slab, rel_cap))
 
 
-def _log_small_ball_slab(n: int, log_vn: float, a: float, upper: float) -> float:
-    """log vol of the radius-1/2 ball about a e_1 between the planes
-    x_1 = 1/2 and x_1 = a + upper: (1/2)^n v_n times the slab fraction of
-    the rescaled unit ball; log_vn = log v_n."""
-    return n * LOG_HALF + log_vn + log_slab_fraction(n, 2.0 * (0.5 - a), 2.0 * upper)
+def _closed_form(n: int, a: float) -> tuple[VolumeEstimate, float]:
+    """vol_T_closed_form's estimate, and log(2^n vol T / v_n).  The latter is
+    of order 1 at every n; formed without v_n and (1/2)^n, it does not round
+    at the ulp of |log vol T| (7e-12 at n = 10000)."""
+    _check_params(n, a)
+    c = chord_coordinate(a)
+    n = int(n)
+    log_slab = log_slab_fraction(n, 2.0 * (0.5 - a), 2.0 * (c - a))
+    log_scaled = float(np.logaddexp(log_slab, n * LOG_TWO + log_slab_fraction(n, c, 1.0)))
+    log_vol = unit_ball_volume(n).log_magnitude + n * LOG_HALF + log_scaled
+    est = VolumeEstimate(LogValue(log_vol), "closed_form", CLOSED_FORM_REL_ERROR * abs(log_vol))
+    return est, log_scaled
 
 
 def vol_T_closed_form(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
@@ -179,14 +184,7 @@ def vol_T_closed_form(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     Both fractions are carried as logs, so neither underflows at large n.
     error_bound is CLOSED_FORM_REL_ERROR * |log vol T|.
     """
-    _check_params(n, a)
-    c = chord_coordinate(a)
-    n = int(n)
-    log_vn = unit_ball_volume(n).log_magnitude
-    log_slab = _log_small_ball_slab(n, log_vn, a, c - a)
-    log_cap = log_vn + log_slab_fraction(n, c, 1.0)
-    log_vol = float(np.logaddexp(log_slab, log_cap))
-    return VolumeEstimate(LogValue(log_vol), "closed_form", CLOSED_FORM_REL_ERROR * abs(log_vol))
+    return _closed_form(n, a)[0]
 
 
 def lower_bound_vol_T(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
@@ -195,8 +193,9 @@ def lower_bound_vol_T(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     _check_params(n, a)
     n = int(n)
     upper = min(a - 0.5, chord_coordinate(a) - a)  # stay inside the unit ball for any offset
-    log_slab = _log_small_ball_slab(n, unit_ball_volume(n).log_magnitude, a, upper)
-    return VolumeEstimate(LogValue(log_slab), "lower_bound", CLOSED_FORM_REL_ERROR * abs(log_slab))
+    log_slab = log_slab_fraction(n, 2.0 * (0.5 - a), 2.0 * upper)
+    log_vol = unit_ball_volume(n).log_magnitude + n * LOG_HALF + log_slab
+    return VolumeEstimate(LogValue(log_vol), "lower_bound", CLOSED_FORM_REL_ERROR * abs(log_vol))
 
 
 def ratio_S(
@@ -204,20 +203,16 @@ def ratio_S(
 ) -> RatioRow:
     """vol S / vol B and its 2^n-scaled form, computed in log domain."""
     if method == "closed_form":
-        est = vol_T_closed_form(n, a)
+        est, log_scaled = _closed_form(n, a)
     elif method == "quadrature":
         est = vol_T_quadrature(n, a, tol)
+        log_scaled = est.log_value.log_magnitude - unit_ball_volume(int(n)).log_magnitude + n * LOG_TWO
     else:
         raise DomainError(f"unknown method {method!r}")
     n = int(n)
-    log_ratio = LOG_TWO + est.log_value.log_magnitude - unit_ball_volume(n).log_magnitude
-    return RatioRow(
-        n=n,
-        ratio=math.exp(log_ratio),
-        scaled=math.exp(log_ratio + n * LOG_TWO),
-        margin=math.exp(log_ratio + n * LOG_TWO) - 1.0,
-        log_error_bound=est.error_bound,
-    )
+    scaled = math.exp(LOG_TWO + log_scaled)
+    return RatioRow(n=n, ratio=math.exp(LOG_TWO + n * LOG_HALF + log_scaled), scaled=scaled,
+                    margin=scaled - 1.0, log_error_bound=est.error_bound)
 
 
 def dvol_da(n: int, a: float = CANONICAL_OFFSET) -> float:
@@ -247,7 +242,9 @@ def maximize_a(n: int, tol: float = 1e-10) -> float:
     """Golden-section search for the offset maximizing vol T.
 
     Kept independent of dvol_da (which is itself under test).  The volume
-    vanishes at both bracket ends, so the maximum is interior.
+    vanishes at both bracket ends, so the maximum is interior.  It maximizes
+    log(2^n vol T / v_n), which differs from log vol T by a constant: of
+    order 1, its rounding does not flatten the maximum.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
@@ -255,7 +252,7 @@ def maximize_a(n: int, tol: float = 1e-10) -> float:
         raise DomainError(f"tol must be >= 1e-12, got {tol!r}")
 
     def f(a: float) -> float:
-        return vol_T_closed_form(n, a).log_value.log_magnitude
+        return _closed_form(n, a)[1]
 
     lo, hi = 0.5 + _BRACKET_DELTA, 1.0 - _BRACKET_DELTA
     x1 = hi - _INVPHI * (hi - lo)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ballavoid
 from ballavoid.cli import main
@@ -48,6 +52,13 @@ class TestRatio:
         code, out = run_cli(capsys, ["ratio", "--n", "2", "--method", "quadrature"])
         assert code == 0
         assert "0.2848" in out
+
+    def test_quadrature_method_at_largest_dimension(self, capsys):
+        # Every n >= 523 used to exhaust the quadrature's panel budget.
+        code, out = run_cli(capsys, ["ratio", "--method", "quadrature", "--n", "10000",
+                                     "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
 
     def test_invalid_dimension_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["ratio", "--n", "1"])
@@ -201,6 +212,18 @@ class TestThreshold:
         assert res["c"] == pytest.approx((2 * CANONICAL_OFFSET - 1) * 14**0.5, rel=1e-15)
         assert res["bound_factor"] == pytest.approx(1.0350657542, abs=1e-10)
 
+    @pytest.mark.parametrize("a", ["nan", "0.5", "1", "inf"])
+    def test_offset_outside_unit_interval_is_usage_error(self, capsys, a):
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", f"--a={a}"])
+        assert exc.value.code == 2
+        assert "offset must lie in (1/2, 1)" in capsys.readouterr().err
+
+    def test_constant_beyond_float_range_is_usage_error(self, capsys):
+        # (c / (2a - 1))^2 overflowed and raised OverflowError.
+        code, _ = run_cli(capsys, ["threshold", "--c-min", "1e200", "--c-max", "1e200"])
+        assert code == 2
+
     def test_no_certificate_range(self, capsys):
         code, _ = run_cli(capsys, ["threshold", "--c-min", "1", "--c-max", "1.2"])
         assert code == 1
@@ -235,6 +258,19 @@ class TestFigure:
         code, _ = run_cli(capsys, ["figure", "--out", str(tmp_path / "no" / "fig.svg")])
         assert code == 2
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1e308"])
+    def test_bad_scale_is_usage_error(self, capsys, tmp_path, scale):
+        dest = tmp_path / "s2.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--out", str(dest), f"--scale={scale}"])
+        assert exc.value.code == 2
+        assert "scale must be positive" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_bad_offset_is_usage_error(self, capsys, tmp_path):
+        code, _ = run_cli(capsys, ["figure", "--out", str(tmp_path / "s2.svg"), "--a=nan"])
+        assert code == 2
+
 
 class TestConcentrationCheck:
     def test_defaults_pass(self, capsys):
@@ -250,6 +286,12 @@ class TestConcentrationCheck:
         doc = json.loads(out)
         row = next(r for r in doc["results"]["rows"] if r["n"] == 50 and r["c"] == 2.0)
         assert row["exact"] - 0.8646647 >= 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_empty_range_is_usage_error(self, capsys, fmt):
+        # With no n >= 3 to check, CSV output indexed an empty row list.
+        code, _ = run_cli(capsys, ["concentration-check", "--n-max", "2", "--format", fmt])
+        assert code == 2
 
     @pytest.mark.parametrize("c_list", ["abc", "1,x", ","])
     def test_malformed_c_list_is_usage_error(self, capsys, c_list):
@@ -285,3 +327,60 @@ class TestCheckAll:
         code, out = run_cli(capsys, ["check-all", "--figure-out", str(tmp_path / "f.svg")])
         assert code == 0
         assert out.count("== exit 0") == 8
+
+
+# --- argv fuzzing ----------------------------------------------------------
+
+def _real(lo, hi):
+    """Numbers as the user may type them: in [lo, hi], anywhere, or special."""
+    return st.one_of(
+        st.floats(lo, hi).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "0.5", "1", "1e308", "5e-324"]),
+        st.floats().map(repr),
+    )
+
+
+def _count(hi):
+    return st.one_of(st.integers(-3, hi).map(str), st.sampled_from(["nan", "1.5", "x"]))
+
+
+_FORMAT = st.sampled_from(["json", "csv", "text"])
+_OFFSET = _real(0.5, 1.0)
+
+# Required, then optional, flags of every subcommand but check-all, which
+# has no numeric flag (TestCheckAll runs it).  Sizes are kept small so each
+# run is short: verify always gets --pairs and --samples, whose defaults
+# are 10^6.
+_FLAGS = {
+    "ratio": ({"--n": _count(200)},
+              {"--a": _OFFSET, "--tol": _real(1e-14, 1e-6), "--format": _FORMAT,
+               "--method": st.sampled_from(["closed_form", "quadrature", "simpson"])}),
+    "table": ({}, {"--max-n": _count(200), "--a": _OFFSET, "--format": _FORMAT}),
+    "verify": ({"--n": _count(200), "--pairs": _count(20000), "--samples": _count(20000)},
+               {"--a": _OFFSET, "--seed": st.integers(-1, 2**64).map(str), "--format": _FORMAT}),
+    "optimize-a": ({"--n": _count(200)}, {"--tol": _real(1e-12, 1e-3), "--format": _FORMAT}),
+    "threshold": ({}, {"--a": _OFFSET, "--c-min": _real(1.0, 3.0), "--c-max": _real(1.0, 3.0),
+                       "--format": _FORMAT}),
+    "figure": ({}, {"--a": _OFFSET, "--scale": _real(1.0, 512.0), "--epsilon": _real(0.0, 0.1)}),
+    "concentration-check": ({}, {"--n-max": _count(200), "--format": _FORMAT,
+                                 "--c-list": st.lists(_real(1.0, 3.0), min_size=1,
+                                                      max_size=3).map(",".join)}),
+}
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_without_exception(self, tmp_path_factory, command, data):
+        required, optional = _FLAGS[command]
+        flags = data.draw(st.fixed_dictionaries(required, optional=optional))
+        argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+        if command == "figure":
+            argv.append(f"--out={tmp_path_factory.mktemp('fuzz') / 'f.svg'}")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv

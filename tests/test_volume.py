@@ -8,6 +8,7 @@ from ballavoid.errors import DomainError, NumericError
 from ballavoid.specfun import unit_ball_volume
 from ballavoid.volume import (
     CLOSED_FORM_REL_ERROR,
+    _log_cos_power,
     adaptive_gauss_legendre,
     dvol_da,
     lower_bound_vol_T,
@@ -167,6 +168,49 @@ class TestClosedFormErrorBound:
                 assert err <= est.error_bound, (n, delta, err)
 
 
+class TestQuadratureRoute:
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 10000])
+    def test_matches_closed_form(self, n):
+        # Integrated in x, every n >= 523 exhausted the panel budget: the
+        # first panel missed the cap's boundary layer.
+        for a in (0.55, A, 0.9, 0.99):
+            cf = vol_T_closed_form(n, a).log_value.log_magnitude
+            for tol in (1e-14, 1e-6):
+                q = vol_T_quadrature(n, a, tol).log_value.log_magnitude
+                assert abs(q - cf) <= 1e-12 * max(1.0, abs(cf)), (n, a, tol)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10000, 10**6])
+    def test_cos_power_matches_wallis(self, n):
+        # int_{-pi/2}^{pi/2} cos^n = sqrt(pi) Gamma((n+1)/2) / Gamma(n/2 + 1),
+        # half of it on either side of the peak; the log-gammas cancel to
+        # 1e-10 at n = 10^6, so they are taken at 40 digits.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        half = mpmath.mpf(n) / 2
+        log_full = float(mpmath.log(mpmath.sqrt(mpmath.pi) * mpmath.gammaprod([half + 0.5], [half + 1])))
+        for lo, hi, shift in ((-math.pi / 2, math.pi / 2, 0.0), (0.0, math.pi / 2, math.log(0.5))):
+            log_j, rel_err = _log_cos_power(n, lo, hi, 1e-14)
+            assert log_j == pytest.approx(log_full + shift, rel=1e-13, abs=1e-13)
+            assert 0.0 <= rel_err < 1e-12
+
+
+class TestRatioAgainstMpmath:
+    @pytest.mark.parametrize("n", [500, 5000, 10000])
+    def test_scaled_ratio(self, n):
+        # The ratio used to subtract a log v_n it had just added, and carried
+        # n log 2 through the sum: at n = 5000 and 10000 that cost 1.65e-12
+        # of the scaled ratio at the canonical offset.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        log_vn = n / mpmath.mpf(2) * mpmath.log(mpmath.pi) - mpmath.loggamma(1 + mpmath.mpf(n) / 2)
+        for a in (0.55, A, 0.9, 0.99):
+            log_scaled = mpmath_log_vol_T(n, a, mpmath) - log_vn + (n + 1) * mpmath.log(2)
+            row = ratio_S(n, a)
+            assert abs(math.log(row.scaled) - float(log_scaled)) <= row.log_error_bound, a
+            if a == A:
+                assert row.scaled == pytest.approx(float(mpmath.exp(log_scaled)), rel=5e-13)
+
+
 class TestLowerBound:
     def test_frozen_values(self):
         assert lower_bound_vol_T(2, A).log_value.linear() == pytest.approx(LOWER_T2, abs=1e-12)
@@ -279,6 +323,12 @@ class TestMaximizer:
         root = bisect_dvol_root(n)
         assert root == pytest.approx(CANONICAL_OFFSET, abs=1e-10)
         assert maximize_a(n) == pytest.approx(root, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [76, 100, 150])
+    def test_recovers_offset_in_higher_dimensions(self, n):
+        # Maximizing log vol T, rounding at the ulp of |log vol T| flattened
+        # the maximum: most n >= 76 missed the offset by more than 1e-7.
+        assert maximize_a(n) == pytest.approx(CANONICAL_OFFSET, abs=1e-7)
 
     def test_argmax_invariant_across_dimensions(self):
         values = [maximize_a(n) for n in (2, 5, 12)]
