@@ -24,7 +24,16 @@ from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
 from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
-from .volume import DEFAULT_TOL, maximize_a, ratio_S, ratio_table
+from .volume import DEFAULT_TOL, maximize_a, ratio_S, ratio_table, vol_T_closed_form
+
+# Step from the argmax at which optimize-a checks, without the derivative,
+# that the closed-form log volume is not higher on either side.  The drop
+# in log vol T is 2e-6 at n = 2, 1e-5 at n = 10 and 2e-10 at n = 200; the
+# small-ball caps that carry the dependence on a shrink like 0.85^(n/2),
+# so beyond n ~ 300 the drop is below the log volume's rounding and the
+# check can no longer fail.
+_LOCAL_MAX_STEP = 1e-3
+
 
 def _g10(x) -> str:
     if isinstance(x, float):
@@ -60,14 +69,21 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(doc: dict, fmt: str, out: str | None, text_lines: list[str], csv_rows: list[dict]) -> int:
-    if fmt == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
-        payload = _rows_to_csv(csv_rows)
+def _emit(args, doc, text_lines, csv_rows) -> int:
+    """Write the payload args.format asks for to args.out.  doc, text_lines
+    and csv_rows are builders taking no argument; only the one for that
+    format is called."""
+    if args.format == "json":
+        payload = json.dumps(doc(), indent=2) + "\n"
+    elif args.format == "csv":
+        payload = _rows_to_csv(csv_rows())
     else:
-        payload = "\n".join(text_lines) + "\n"
-    return _write_out(payload, out)
+        payload = "\n".join(text_lines()) + "\n"
+    return _write_out(payload, args.out)
+
+
+def _row_dicts(rows) -> list[dict]:
+    return [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin} for r in rows]
 
 
 def _kv_lines(pairs: list[tuple[str, object]]) -> list[str]:
@@ -87,29 +103,35 @@ def cmd_ratio(args) -> int:
         "results": {"ratio": row.ratio, "scaled": row.scaled, "margin": row.margin},
         "pass": ok,
     }
-    text = _kv_lines(
-        [("n", row.n), ("a", args.a), ("method", args.method),
-         ("ratio", row.ratio), ("scaled", row.scaled), ("margin", row.margin)]
-    )
-    csv_rows = [{"n": row.n, "ratio": row.ratio, "scaled": row.scaled, "margin": row.margin}]
-    rc = _emit(doc, args.format, args.out, text, csv_rows)
+
+    def text_lines():
+        return _kv_lines(
+            [("n", row.n), ("a", args.a), ("method", args.method),
+             ("ratio", row.ratio), ("scaled", row.scaled), ("margin", row.margin)]
+        )
+
+    rc = _emit(args, lambda: doc, text_lines, lambda: _row_dicts([row]))
     return rc if rc else (0 if ok else 1)
 
 
 def cmd_table(args) -> int:
     rows = ratio_table(2, args.max_n, args.a)
     ok = all(r.margin > 0 for r in rows)
-    csv_rows = [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin} for r in rows]
-    doc = {
-        "command": "table",
-        "inputs": {"max_n": args.max_n, "a": args.a},
-        "results": {"rows": csv_rows},
-        "pass": ok,
-    }
-    text = [f"{'n':>5}  {'ratio':>16}  {'scaled':>16}  {'margin':>16}"]
-    for r in rows:
-        text.append(f"{r.n:>5}  {r.ratio:>16.10g}  {r.scaled:>16.10g}  {r.margin:>16.10g}")
-    rc = _emit(doc, args.format, args.out, text, csv_rows)
+
+    def doc():
+        return {
+            "command": "table",
+            "inputs": {"max_n": args.max_n, "a": args.a},
+            "results": {"rows": _row_dicts(rows)},
+            "pass": ok,
+        }
+
+    def text_lines():
+        text = [f"{'n':>5}  {'ratio':>16}  {'scaled':>16}  {'margin':>16}"]
+        text.extend(f"{r.n:>5}  {r.ratio:>16.10g}  {r.scaled:>16.10g}  {r.margin:>16.10g}" for r in rows)
+        return text
+
+    rc = _emit(args, doc, text_lines, lambda: _row_dicts(rows))
     return rc if rc else (0 if ok else 1)
 
 
@@ -126,7 +148,7 @@ def cmd_verify(args) -> int:
     lo, hi = mc.log_interval(3.0)
     mc_ok = lo - slack <= math.log(row.scaled) - args.n * math.log(2.0) <= hi + slack
     ok = report.violations == 0 and mc_ok
-    results = {
+    summary = {
         "pairs_tested": report.pairs_tested,
         "violations": report.violations,
         "min_cross_distance": report.min_cross_distance,
@@ -136,6 +158,12 @@ def cmd_verify(args) -> int:
         "analytic_ratio": row.ratio,
         "mc_within_3_sigma": mc_ok,
     }
+    results = summary
+    if report.violating_pairs:
+        results = {**summary, "violating_pairs": [
+            {"tag": tag, "distance": dist, "x": list(x), "y": list(y)}
+            for x, y, tag, dist in report.violating_pairs
+        ]}
     doc = {
         "command": "verify",
         "inputs": {
@@ -145,30 +173,34 @@ def cmd_verify(args) -> int:
         "results": results,
         "pass": ok,
     }
-    text = _kv_lines([(k, v) for k, v in results.items()])
-    for x, y, tag, dist in report.violating_pairs:
-        text.append(f"VIOLATION {tag} distance={dist!r} x={x!r} y={y!r}")
-        doc["results"].setdefault("violating_pairs", []).append(
-            {"tag": tag, "distance": dist, "x": list(x), "y": list(y)}
-        )
-    rc = _emit(doc, args.format, args.out, text, [results])
+
+    def text_lines():
+        text = _kv_lines(list(summary.items()))
+        text.extend(f"VIOLATION {tag} distance={dist!r} x={x!r} y={y!r}"
+                    for x, y, tag, dist in report.violating_pairs)
+        return text
+
+    rc = _emit(args, lambda: doc, text_lines, lambda: [results])
     return rc if rc else (0 if ok else 1)
 
 
 def cmd_optimize_a(args) -> int:
-    try:
-        argmax = maximize_a(args.n, args.tol)
-    except NumericError as exc:
-        print(f"error: optimizer failed: {exc}", file=sys.stderr)
-        return 1
+    argmax = maximize_a(args.n, args.tol)
     canonical = CANONICAL_OFFSET
     diff = argmax - canonical
-    ok = abs(diff) <= 1e-7
+
+    peak = vol_T_closed_form(args.n, argmax)
+    sides = [vol_T_closed_form(args.n, argmax + step) for step in (-_LOCAL_MAX_STEP, _LOCAL_MAX_STEP)]
+    drops = [peak.log_value.log_magnitude - side.log_value.log_magnitude for side in sides]
+    # Fails only where a side is above the peak by more than both error bounds.
+    local_max = all(d >= -(peak.error_bound + side.error_bound) for d, side in zip(drops, sides))
+    ok = abs(diff) <= 1e-7 and local_max
     results = {
         "argmax": argmax,
         "canonical": canonical,
         "difference": diff,
         "equidistance_residual": equidistance_residual(argmax),
+        "log_volume_drop_at_1e-3": min(drops),
     }
     doc = {
         "command": "optimize-a",
@@ -176,7 +208,7 @@ def cmd_optimize_a(args) -> int:
         "results": results,
         "pass": ok,
     }
-    rc = _emit(doc, args.format, args.out, _kv_lines(list(results.items())), [results])
+    rc = _emit(args, lambda: doc, lambda: _kv_lines(list(results.items())), lambda: [results])
     return rc if rc else (0 if ok else 1)
 
 
@@ -188,7 +220,6 @@ def cmd_threshold(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     direct = ratio_table(2, best.n_min - 1, args.a) if best.n_min > 2 else []
-    direct_rows = [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin} for r in direct]
     ok = best.n_min <= 15 and all(r.margin > 0 for r in direct)
     results = {
         "c": best.c,
@@ -197,19 +228,27 @@ def cmd_threshold(args) -> int:
         "width_ok_from": best.width_ok_from,
         "certifying_c_min": c_lo,
         "certifying_c_max": c_hi,
-        "direct_checks": direct_rows,
     }
-    doc = {
-        "command": "threshold",
-        "inputs": {"a": args.a, "c_min": args.c_min, "c_max": args.c_max},
-        "results": results,
-        "pass": ok,
-    }
-    text = _kv_lines([(k, v) for k, v in results.items() if k != "direct_checks"])
-    text.append("direct checks:")
-    for r in direct:
-        text.append(f"  n={r.n:<3} ratio={r.ratio:.10g} scaled={r.scaled:.10g} margin={r.margin:.10g}")
-    rc = _emit(doc, args.format, args.out, text, direct_rows or [results])
+
+    def doc():
+        return {
+            "command": "threshold",
+            "inputs": {"a": args.a, "c_min": args.c_min, "c_max": args.c_max},
+            "results": {**results, "direct_checks": _row_dicts(direct)},
+            "pass": ok,
+        }
+
+    def text_lines():
+        text = _kv_lines(list(results.items()))
+        text.append("direct checks:")
+        text.extend(f"  n={r.n:<3} ratio={r.ratio:.10g} scaled={r.scaled:.10g} margin={r.margin:.10g}"
+                    for r in direct)
+        return text
+
+    def csv_rows():
+        return _row_dicts(direct) or [{**results, "direct_checks": []}]
+
+    rc = _emit(args, doc, text_lines, csv_rows)
     return rc if rc else (0 if ok else 1)
 
 
@@ -259,13 +298,17 @@ def cmd_concentration_check(args) -> int:
         "results": {"rows": rows},
         "pass": ok,
     }
-    text = [f"{'n':>4} {'c':>6} {'exact':>16} {'bound':>16} {'slack':>16}  status"]
-    for r in rows:
-        text.append(
+
+    def text_lines():
+        text = [f"{'n':>4} {'c':>6} {'exact':>16} {'bound':>16} {'slack':>16}  status"]
+        text.extend(
             f"{r['n']:>4} {r['c']:>6.3g} {_g10(r['exact']):>16} "
             f"{_g10(r['bound']):>16} {_g10(r['slack']):>16}  {r['status']}"
+            for r in rows
         )
-    rc = _emit(doc, args.format, args.out, text, rows)
+        return text
+
+    rc = _emit(args, lambda: doc, text_lines, lambda: rows)
     return rc if rc else (0 if ok else 1)
 
 
@@ -302,6 +345,17 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _dimension(text: str) -> int:
+    """--n: an integer in the documented range 2 <= n <= 10000."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 2 <= n <= 10000:
+        raise argparse.ArgumentTypeError(f"expected an integer in [2, 10000], got {text!r}")
+    return n
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -315,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ratio", help="vol S / vol B at one dimension")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--a", type=float, default=CANONICAL_OFFSET)
     p.add_argument("--method", choices=["closed_form", "quadrature"], default="closed_form")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -329,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("verify", help="seeded pair audit plus Monte Carlo ratio check")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--a", type=float, default=CANONICAL_OFFSET)
     p.add_argument("--pairs", type=int, default=10**6)
     p.add_argument("--samples", type=int, default=10**6)
@@ -338,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("optimize-a", help="certify the volume-maximizing offset")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_optimize_a)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericError
 
 # Smallest positive normal double; below this, exp() returns a subnormal
@@ -139,6 +141,13 @@ def reg_inc_beta(z: float, alpha: float, beta: float) -> float:
     return 1.0 - front * _beta_continued_fraction(beta, alpha, 1.0 - z) / beta
 
 
+def _direct_branch(z, alpha):
+    """Where reg_inc_beta sums I_z(alpha, 1/2) by its own continued
+    fraction rather than as the complement 1 - I_{1-z}(1/2, alpha); it
+    takes arrays as well as scalars."""
+    return z < (alpha + 1.0) / (alpha + 2.5)
+
+
 def _ball_cap_fraction(n: int, t: float) -> float:
     """P(x_1 > t) for a uniform point in the unit n-ball, t >= 0.
 
@@ -153,7 +162,7 @@ def _ball_cap_fraction(n: int, t: float) -> float:
         return 0.0
     z = (1.0 - t) * (1.0 + t)
     alpha = 0.5 * (n + 1)
-    if t < 0.125 and not z < (alpha + 1.0) / (alpha + 2.5):
+    if t < 0.125 and not _direct_branch(z, alpha):
         return 0.5 - 0.5 * reg_inc_beta(t * t, 0.5, alpha)
     return 0.5 * reg_inc_beta(z, alpha, 0.5)
 
@@ -170,11 +179,45 @@ def _log_ball_cap_fraction(n: int, t: float) -> float:
         return -math.inf
     z = (1.0 - t) * (1.0 + t)
     alpha = 0.5 * (n + 1)
-    if z < (alpha + 1.0) / (alpha + 2.5):
+    if _direct_branch(z, alpha):
         log_front = _log_beta_front(z, alpha, 0.5)
         if log_front < _LOG_LINEAR_MIN:
             return math.log(0.5 * _beta_continued_fraction(alpha, 0.5, z) / alpha) + log_front
     return math.log(_ball_cap_fraction(n, t))
+
+
+def _log_ball_cap_fractions(n_min: int, t: float, log_coef: np.ndarray) -> np.ndarray:
+    """_log_ball_cap_fraction(n, t) for n = n_min, n_min + 1, ... in one
+    pass, 0 <= t < 1.
+
+    log_coef[k] is log(1 / (alpha B(alpha, 1/2))) at alpha = (n + 1)/2 of
+    row k.  Caps of dimensions n and n + 2 differ by half the term
+    z^alpha t / (alpha B(alpha, 1/2)), z = 1 - t^2, of the recurrence
+    I_z(alpha, b) = I_z(alpha + 1, b) + z^alpha (1 - z)^b / (alpha B(alpha, b))
+    (DLMF 8.17(iv)), written with t itself so that 1 - z is not rounded.
+    Each parity of n is one chain of positive terms, summed in the
+    direction in which they add: rows on the complement branch (the
+    smaller n, where the cap is above a few percent) subtract them from a
+    seed at their bottom; rows on the direct branch add them, in log scale
+    so that deep caps do not underflow, to a seed at their top.  The seeds
+    come from the scalar routines, which choose the branch by the same rule.
+    """
+    rows = np.arange(log_coef.size)
+    alpha = 0.5 * (n_min + rows + 1.0)
+    z = (1.0 - t) * (1.0 + t)
+    log_t = math.log(t) if t > 0.0 else -math.inf
+    log_step = math.log(0.5) + alpha * math.log(z) + log_t + log_coef  # log(cap(n) - cap(n + 2))
+    direct = _direct_branch(z, alpha)
+    out = np.empty(log_coef.size)
+    for chain in (rows[0::2], rows[1::2]):
+        up, down = chain[~direct[chain]], chain[direct[chain]]
+        if up.size:
+            seed = _ball_cap_fraction(n_min + int(up[0]), t)
+            out[up] = np.log(np.cumsum(np.concatenate(([seed], -np.exp(log_step[up[:-1]])))))
+        if down.size:
+            seed = _log_ball_cap_fraction(n_min + int(down[-1]), t)
+            out[down] = np.logaddexp.accumulate(np.concatenate(([seed], log_step[down[-2::-1]])))[::-1]
+    return out
 
 
 def _log_sub(x: float, y: float) -> float:

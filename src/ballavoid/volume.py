@@ -24,10 +24,11 @@ import numpy as np
 
 from .construction import CANONICAL_OFFSET, chord_coordinate
 from .errors import DomainError, NumericError
-from .specfun import LogValue, log_slab_fraction, unit_ball_volume
+from .specfun import LogValue, _log_ball_cap_fractions, log_slab_fraction, unit_ball_volume
 
 LOG_HALF = math.log(0.5)
 LOG_TWO = math.log(2.0)
+LOG_PI = math.log(math.pi)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -150,7 +151,12 @@ def _log_cos_power(n: int, lo: float, hi: float, tol: float):
 
 
 def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET, tol: float = DEFAULT_TOL) -> VolumeEstimate:
-    """vol T by adaptive quadrature of the two J integrals displayed above."""
+    """vol T by adaptive quadrature of the two J integrals displayed above.
+
+    error_bound is the larger panel error of the two J, relative, plus
+    CLOSED_FORM_REL_ERROR * |log vol T| for rounding in log v_{n-1},
+    n log cos p and the sum, which the panels do not see.
+    """
     _check_params(n, a)
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
@@ -158,8 +164,10 @@ def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET, tol: float = DEFAULT_T
     c = chord_coordinate(a)
     log_slab, rel_slab = _log_cos_power(n, -math.asin(2.0 * a - 1.0), math.asin(2.0 * (c - a)), tol)
     log_cap, rel_cap = _log_cos_power(n, math.asin(c), 0.5 * math.pi, tol)
-    log_vol = unit_ball_volume(n - 1).log_magnitude + np.logaddexp(n * LOG_HALF + log_slab, log_cap)
-    return VolumeEstimate(LogValue(float(log_vol)), "quadrature", max(rel_slab, rel_cap))
+    log_vn1 = unit_ball_volume(n - 1).log_magnitude
+    log_vol = log_vn1 + float(np.logaddexp(n * LOG_HALF + log_slab, log_cap))
+    error = max(rel_slab, rel_cap) + CLOSED_FORM_REL_ERROR * abs(log_vol)
+    return VolumeEstimate(LogValue(log_vol), "quadrature", error)
 
 
 def _closed_form(n: int, a: float) -> tuple[VolumeEstimate, float]:
@@ -215,6 +223,14 @@ def ratio_S(
                     margin=scaled - 1.0, log_error_bound=est.error_bound)
 
 
+def _log_boundary_terms(n: int, a: float) -> tuple[float, float]:
+    """The logs of dvol_da's two boundary terms over v_{n-1}:
+    p log(1/4 - (a - 1/2)^2) and p log(1/4 - (c - a)^2), p = (n-1)/2."""
+    c = chord_coordinate(a)
+    p = 0.5 * (n - 1)
+    return p * math.log(0.25 - (a - 0.5) ** 2), p * math.log(0.25 - (c - a) ** 2)
+
+
 def dvol_da(n: int, a: float = CANONICAL_OFFSET) -> float:
     """Derivative of vol T in the offset a.
 
@@ -226,55 +242,75 @@ def dvol_da(n: int, a: float = CANONICAL_OFFSET) -> float:
     with p = (n-1)/2; zero exactly at equidistance, for every n.
     """
     _check_params(n, a)
-    c = chord_coordinate(a)
-    p = 0.5 * (n - 1)
     log_vn1 = unit_ball_volume(int(n) - 1).log_magnitude
-    t1 = math.exp(log_vn1 + p * math.log(0.25 - (a - 0.5) ** 2))
-    t2 = math.exp(log_vn1 + p * math.log(0.25 - (c - a) ** 2))
-    return t1 - t2
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_DELTA = 1e-6
+    t1, t2 = _log_boundary_terms(n, a)
+    return math.exp(log_vn1 + t1) - math.exp(log_vn1 + t2)
 
 
 def maximize_a(n: int, tol: float = 1e-10) -> float:
-    """Golden-section search for the offset maximizing vol T.
+    """Bisection for the offset maximizing vol T, to a bracket of width tol.
 
-    Kept independent of dvol_da (which is itself under test).  The volume
-    vanishes at both bracket ends, so the maximum is interior.  It maximizes
-    log(2^n vol T / v_n), which differs from log vol T by a constant: of
-    order 1, its rounding does not flatten the maximum.
+    vol T rises in a where the first log boundary term of dvol_da exceeds
+    the second and falls where it is below; that sign does not flatten in
+    rounding near the maximum, as the volume itself does at large n.  The
+    volume vanishes at both ends of (1/2, 1), so the maximum is interior.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     if not tol >= 1e-12:
         raise DomainError(f"tol must be >= 1e-12, got {tol!r}")
-
-    def f(a: float) -> float:
-        return _closed_form(n, a)[1]
-
-    lo, hi = 0.5 + _BRACKET_DELTA, 1.0 - _BRACKET_DELTA
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    lo, hi = 0.5, 1.0
     while hi - lo > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
+        mid = 0.5 * (lo + hi)
+        rising, falling = _log_boundary_terms(n, mid)
+        if rising > falling:
+            lo = mid
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
+            hi = mid
     return 0.5 * (lo + hi)
 
 
 def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> list[RatioRow]:
     """RatioRow for every dimension in [n_min, n_max]; each positive margin
-    is the direct check of the counterexample inequality at that n."""
+    is the direct check of the counterexample inequality at that n.
+
+    The same log(2^n vol T / v_n) as ratio_S, from the same three caps, but
+    each cap is taken for all n at once by the recurrence in n of
+    _log_ball_cap_fractions, from a few scalar seeds.
+    """
     if not (isinstance(n_min, (int, np.integer)) and isinstance(n_max, (int, np.integer))):
         raise DomainError("dimension bounds must be integers")
     if not 2 <= n_min <= n_max <= 10000:
         raise DomainError(f"need 2 <= n_min <= n_max <= 10000, got [{n_min}, {n_max}]")
-    return [ratio_S(n, a) for n in range(int(n_min), int(n_max) + 1)]
+    _check_params(n_min, a)
+    n_min, n_max = int(n_min), int(n_max)
+    c = chord_coordinate(a)
+    n = np.arange(n_min, n_max + 1)
+    # lgamma(n/2 + 1) normalizes v_n; with its neighbour at n + 1 it gives
+    # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)).
+    lg = np.array(list(map(math.lgamma, (0.5 * np.arange(n_min, n_max + 2) + 1.0).tolist())))
+    log_coef = lg[:-1] - lg[1:] - 0.5 * LOG_PI
+
+    def log_cap(t: float) -> np.ndarray:
+        return _log_ball_cap_fractions(n_min, t, log_coef)
+
+    # The slab [1 - 2a, 2(c - a)] of the unit ball, as in log_slab_fraction.
+    u1 = 2.0 * (c - a)
+    if u1 > 0.0:
+        log_slab = np.log(1.0 - np.exp(log_cap(u1)) - np.exp(log_cap(2.0 * (a - 0.5))))
+    else:
+        near, far = log_cap(-u1), log_cap(2.0 * (a - 0.5))
+        log_slab = near + np.log1p(-np.exp(far - near))
+    log_scaled = np.logaddexp(log_slab, n * LOG_TWO + log_cap(c))
+    log_vol = 0.5 * n * LOG_PI - lg[:-1] + n * LOG_HALF + log_scaled
+    scaled = np.exp(LOG_TWO + log_scaled)
+    return [
+        RatioRow(*fields)
+        for fields in zip(
+            n.tolist(),
+            np.exp(LOG_TWO + n * LOG_HALF + log_scaled).tolist(),
+            scaled.tolist(),
+            (scaled - 1.0).tolist(),
+            (CLOSED_FORM_REL_ERROR * np.abs(log_vol)).tolist(),
+        )
+    ]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballavoid
-from ballavoid.cli import main
+from ballavoid.cli import build_parser, main
 from ballavoid.concentration import C_STAR
 from ballavoid.construction import CANONICAL_OFFSET
+from ballavoid.volume import ratio_table
 
 
 def run_cli(capsys, argv):
@@ -63,6 +65,27 @@ class TestRatio:
     def test_invalid_dimension_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["ratio", "--n", "1"])
         assert code == 2
+
+
+class TestDimensionRange:
+    @pytest.mark.parametrize("command", ["ratio", "verify", "optimize-a"])
+    @pytest.mark.parametrize("n", ["1", "10001", "100000", "2.5"])
+    def test_outside_documented_range_is_usage_error(self, capsys, command, n):
+        # ratio --n 100000 exited 0 with "ratio": 0.0; verify had no upper bound.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", n])
+        assert exc.value.code == 2
+        assert "argument --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ratio", "verify", "optimize-a"])
+    def test_largest_dimension_is_accepted(self, command):
+        assert build_parser().parse_args([command, "--n", "10000"]).n == 10000
+
+    @pytest.mark.parametrize("command", ["ratio", "optimize-a"])
+    def test_largest_dimension_passes(self, capsys, command):
+        code, out = run_cli(capsys, [command, "--n", "10000", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
 
 
 class TestTable:
@@ -184,6 +207,21 @@ class TestOptimizeA:
         code, _ = run_cli(capsys, ["optimize-a", "--n", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["2", "10", "200"])
+    def test_volume_lower_on_both_sides(self, capsys, n):
+        code, out = run_cli(capsys, ["optimize-a", "--n", n, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["results"]["log_volume_drop_at_1e-3"] > 0
+
+    def test_volume_check_fails_off_the_maximum(self, capsys, monkeypatch):
+        # An optimizer and reference that agree on a wrong offset pass the
+        # 1e-7 check; the volume is higher at 0.75 - 1e-3.
+        monkeypatch.setattr("ballavoid.cli.maximize_a", lambda n, tol: 0.75)
+        monkeypatch.setattr("ballavoid.cli.CANONICAL_OFFSET", 0.75)
+        code, out = run_cli(capsys, ["optimize-a", "--n", "2", "--format", "json"])
+        assert code == 1
+        assert json.loads(out)["results"]["log_volume_drop_at_1e-3"] < 0
+
 
 class TestThreshold:
     def test_default_certifies_fifteen(self, capsys):
@@ -299,6 +337,37 @@ class TestConcentrationCheck:
             main(["concentration-check", "--c-list", c_list])
         assert exc.value.code == 2
         assert "--c-list" in capsys.readouterr().err
+
+
+class TestOutputFormats:
+    # sha256 of the output when every format was built on each run; these
+    # outputs carry no digit of the table's recurrence.
+    FROZEN = {
+        ("table --max-n 64", "text"): "531fb39c7ed2a7648d7d09028eee2a82cf5a6622c9c5dc9aaae2ccf37b1297ad",
+        ("threshold", "text"): "0055482e5aec5456e378b4cd1c5e9f8a93ae152515868c5300b70ad5e4a6884b",
+        ("concentration-check", "json"): "0f0dd433904825a21a42fe2a16418db59c2eb976206e6f3193392349c59c1f3f",
+        ("concentration-check", "csv"): "5b891a01f2c4d3f7c66408043c69e84053f3783409273b4e4ac6368c3483788f",
+        ("concentration-check", "text"): "3ab25ddf413b17b58ca72eafbb67cc519b0e5d2ba920570e7071c33cd623d3d3",
+    }
+
+    @pytest.mark.parametrize("argv, fmt", sorted(FROZEN))
+    def test_bytes_unchanged(self, capsys, argv, fmt):
+        code, out = run_cli(capsys, [*argv.split(), "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FROZEN[argv, fmt]
+
+    @pytest.mark.parametrize("argv, key, max_n", [("table --max-n 64", "rows", 64),
+                                                  ("threshold", "direct_checks", 14)])
+    def test_rows_in_json_and_csv(self, capsys, argv, key, max_n):
+        rows = [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin}
+                for r in ratio_table(2, max_n)]
+        _, out = run_cli(capsys, [*argv.split(), "--format", "json"])
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert doc["results"][key] == rows
+        _, out = run_cli(capsys, [*argv.split(), "--format", "csv"])
+        assert out == "n,ratio,scaled,margin\n" + "".join(
+            f"{r['n']},{r['ratio']!r},{r['scaled']!r},{r['margin']!r}\n" for r in rows)
 
 
 class TestTolDefault:

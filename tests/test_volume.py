@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ballavoid import specfun
 from ballavoid.construction import CANONICAL_OFFSET, chord_coordinate
 from ballavoid.errors import DomainError, NumericError
 from ballavoid.specfun import unit_ball_volume
@@ -179,6 +180,20 @@ class TestQuadratureRoute:
                 q = vol_T_quadrature(n, a, tol).log_value.log_magnitude
                 assert abs(q - cf) <= 1e-12 * max(1.0, abs(cf)), (n, a, tol)
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10000])
+    def test_error_bound_holds_against_mpmath(self, n):
+        # The bound was the panel estimate alone, blind to rounding outside
+        # the panels: 0.0 at n = 2, a = 0.694 against an error of 2.2e-16,
+        # and 2.4e-15 at n = 1000, a* against 4.5e-13.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for a in (0.55, A, 0.694, 0.99):
+            exact = float(mpmath_log_vol_T(n, a, mpmath))
+            for tol in (1e-14, 1e-6):
+                est = vol_T_quadrature(n, a, tol)
+                err = abs(est.log_value.log_magnitude - exact)
+                assert err <= est.error_bound, (n, a, tol, err, est.error_bound)
+
     @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10000, 10**6])
     def test_cos_power_matches_wallis(self, n):
         # int_{-pi/2}^{pi/2} cos^n = sqrt(pi) Gamma((n+1)/2) / Gamma(n/2 + 1),
@@ -260,6 +275,8 @@ class TestRatio:
             ratio_table(5, 4)
         with pytest.raises(DomainError):
             ratio_table(2, 10001)
+        with pytest.raises(DomainError):
+            ratio_table(2, 10, float("nan"))
 
     def test_small_ball_containment_bracket(self):
         # vol T < (1/2)^n v_n + unit-cap volume.
@@ -272,6 +289,67 @@ class TestRatio:
                 n * math.log(0.5) + log_vn, log_vn + math.log(slab_fraction(n, C, 1.0))
             )
             assert vol_t <= upper
+
+
+SQRT3_2 = math.sqrt(0.75)  # offset where the chord plane passes through a e_1
+TABLE_OFFSETS = [0.501, 0.51, 0.55, A, SQRT3_2 - 1e-9, SQRT3_2, SQRT3_2 + 1e-9, 0.9, 0.99]
+
+
+class TestRatioTable:
+    """ratio_table takes every cap for all n at once by the recurrence in n;
+    ratio_S, one dimension at a time, is its reference."""
+
+    @pytest.mark.parametrize("a", TABLE_OFFSETS)
+    def test_matches_ratio_S_at_every_n(self, a):
+        # The branch is chosen per (n, t).  Chosen per cap alone
+        # (complement where t < 1/8), a = 0.9 broke the bound 6e5-fold at
+        # n = 9999 and a = 0.51 gave NaN rows; with every cap summed
+        # downward, a = 0.501 broke it 92-fold at n = 2.
+        rows = ratio_table(2, 10000, a)
+        assert [r.n for r in rows] == list(range(2, 10001))
+        for row in rows:
+            ref = ratio_S(row.n, a)
+            assert abs(math.log(row.scaled) - math.log(ref.scaled)) <= ref.log_error_bound, (row.n, a)
+            assert math.isclose(row.log_error_bound, ref.log_error_bound, rel_tol=1e-12), (row.n, a)
+            assert math.isclose(row.ratio, ref.ratio, rel_tol=1e-9), (row.n, a)
+            assert math.isclose(row.margin, ref.margin, rel_tol=1e-9, abs_tol=1e-15), (row.n, a)
+
+    @pytest.mark.parametrize("a", TABLE_OFFSETS)
+    def test_rows_match_mpmath(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        rows = ratio_table(2, 10000, a)
+        for n in (2, 3, 14, 15, 166, 1000, 5000, 9999, 10000):
+            row = rows[n - 2]
+            log_vn = n / mpmath.mpf(2) * mpmath.log(mpmath.pi) - mpmath.loggamma(1 + mpmath.mpf(n) / 2)
+            log_scaled = mpmath_log_vol_T(n, a, mpmath) - log_vn + (n + 1) * mpmath.log(2)
+            assert abs(math.log(row.scaled) - float(log_scaled)) <= row.log_error_bound, (n, a)
+
+    @pytest.mark.parametrize("n_min, n_max", [(3, 3), (15, 15), (9999, 10000), (7, 300), (640, 2001)])
+    def test_sub_range_matches_full_table(self, n_min, n_max):
+        for a in (0.51, A, 0.9):
+            full = ratio_table(2, 10000, a)[n_min - 2:n_max - 1]
+            part = ratio_table(n_min, n_max, a)
+            assert [r.n for r in part] == [r.n for r in full]
+            for p, f in zip(part, full):
+                assert abs(math.log(p.scaled) - math.log(f.scaled)) <= f.log_error_bound, (p.n, a)
+
+    def test_scalar_evaluations_do_not_grow_with_n_max(self, monkeypatch):
+        # Only the seeds of the chains are scalar: at most two per parity
+        # and cap.  Every continued fraction, reg_inc_beta's included, is
+        # counted.
+        calls = {"reg_inc_beta": 0, "_beta_continued_fraction": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(specfun, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(specfun, name, counted)
+        for n_max in (100, 10000):
+            for a in (0.55, A, SQRT3_2 + 1e-9, 0.99):
+                calls.update(dict.fromkeys(calls, 0))
+                ratio_table(2, n_max, a)
+                assert 0 < calls["_beta_continued_fraction"] <= 12, (n_max, a, calls)
+                assert calls["reg_inc_beta"] <= 12, (n_max, a, calls)
 
 
 class TestDerivative:
@@ -324,10 +402,11 @@ class TestMaximizer:
         assert root == pytest.approx(CANONICAL_OFFSET, abs=1e-10)
         assert maximize_a(n) == pytest.approx(root, abs=1e-7)
 
-    @pytest.mark.parametrize("n", [76, 100, 150])
+    @pytest.mark.parametrize("n", [76, 100, 150, 166, 244, 1000, 10000])
     def test_recovers_offset_in_higher_dimensions(self, n):
-        # Maximizing log vol T, rounding at the ulp of |log vol T| flattened
-        # the maximum: most n >= 76 missed the offset by more than 1e-7.
+        # A golden section on the closed-form volume, which rounding
+        # flattens near its maximum, missed the offset by 1.4e-7 at n = 166,
+        # 1.4e-6 at n = 244, 0.053 at n = 1000 and 0.13 at n = 10000.
         assert maximize_a(n) == pytest.approx(CANONICAL_OFFSET, abs=1e-7)
 
     def test_argmax_invariant_across_dimensions(self):
