@@ -5,7 +5,7 @@ The names below are the ones README.md and the CLI use; everything else
 is imported from its submodule."""
 
 from .concentration import best_certificate, concentration_bound, minimal_certified_n
-from .construction import CANONICAL_OFFSET, ConstructionParams, equidistance_residual
+from .construction import CANONICAL_OFFSET, ConstructionParams, component, equidistance_residual
 from .errors import CertificateError, DomainError, NumericError
 from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import LogValue, slab_fraction
@@ -20,6 +20,7 @@ __all__ = [
     "NumericError",
     "SamplerConfig",
     "best_certificate",
+    "component",
     "concentration_bound",
     "equidistance_residual",
     "maximize_a",

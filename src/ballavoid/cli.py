@@ -86,6 +86,11 @@ def _row_dicts(rows) -> list[dict]:
     return [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin} for r in rows]
 
 
+def _log_ratio(row) -> float:
+    """log(vol S / vol B), finite where the linear ratio underflows."""
+    return math.log(row.scaled) - row.n * math.log(2.0)
+
+
 def _kv_lines(pairs: list[tuple[str, object]]) -> list[str]:
     width = max(len(k) for k, _ in pairs)
     return [f"{k.ljust(width)}  {_g10(v)}" for k, v in pairs]
@@ -97,20 +102,19 @@ def _kv_lines(pairs: list[tuple[str, object]]) -> list[str]:
 def cmd_ratio(args) -> int:
     row = ratio_S(args.n, args.a, args.method, args.tol)
     ok = row.margin > 0
+    results = {"ratio": row.ratio, "scaled": row.scaled, "margin": row.margin,
+               "log_ratio": _log_ratio(row), "log_error_bound": row.log_error_bound}
     doc = {
         "command": "ratio",
         "inputs": {"n": args.n, "a": args.a, "method": args.method, "tol": args.tol},
-        "results": {"ratio": row.ratio, "scaled": row.scaled, "margin": row.margin},
+        "results": results,
         "pass": ok,
     }
 
     def text_lines():
-        return _kv_lines(
-            [("n", row.n), ("a", args.a), ("method", args.method),
-             ("ratio", row.ratio), ("scaled", row.scaled), ("margin", row.margin)]
-        )
+        return _kv_lines([("n", row.n), ("a", args.a), ("method", args.method), *results.items()])
 
-    rc = _emit(args, lambda: doc, text_lines, lambda: _row_dicts([row]))
+    rc = _emit(args, lambda: doc, text_lines, lambda: [{"n": row.n, **results}])
     return rc if rc else (0 if ok else 1)
 
 
@@ -140,22 +144,24 @@ def cmd_verify(args) -> int:
     report = pair_audit(SamplerConfig(args.seed, args.pairs, params))
     mc = mc_volume_ratio(SamplerConfig(args.seed, args.samples, params))
     row = ratio_S(args.n, args.a)
-    mc_ratio = mc.log_value.linear()
+    analytic_log_ratio = _log_ratio(row)
     # Widened by the closed form's own log-scale error: at large n nearly
     # every proposal lands in T, and its rounding alone can put the
     # log-ratio just above the interval's top, log(2 (1/2)^n).
     slack = row.log_error_bound
     lo, hi = mc.log_interval(3.0)
-    mc_ok = lo - slack <= math.log(row.scaled) - args.n * math.log(2.0) <= hi + slack
+    mc_ok = lo - slack <= analytic_log_ratio <= hi + slack
     ok = report.violations == 0 and mc_ok
     summary = {
         "pairs_tested": report.pairs_tested,
         "violations": report.violations,
         "min_cross_distance": report.min_cross_distance,
         "max_same_distance": report.max_same_distance,
-        "mc_ratio": mc_ratio,
+        "mc_ratio": mc.log_value.linear(),
+        "mc_log_ratio": mc.log_value.log_magnitude,
         "mc_ci99_half_width": mc.error_bound,
         "analytic_ratio": row.ratio,
+        "analytic_log_ratio": analytic_log_ratio,
         "mc_within_3_sigma": mc_ok,
     }
     results = summary
@@ -433,7 +439,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except NumericError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        found = [f"{name}={_g10(value)}" for name, value in (
+            ("best_estimate", exc.best_estimate), ("achieved_error", exc.achieved_error))
+            if value is not None]
+        print(f"error: numerical failure: {exc}" + (f" ({', '.join(found)})" if found else ""),
+              file=sys.stderr)
         return 1
 
 

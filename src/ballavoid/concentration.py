@@ -18,7 +18,6 @@ import numpy as np
 
 from .construction import CANONICAL_OFFSET
 from .errors import CertificateError, DomainError
-from .specfun import slab_fraction
 
 
 @dataclass(frozen=True)
@@ -127,16 +126,3 @@ def best_certificate(
     at the largest such c (the most slack above 1)."""
     return minimal_certified_n(certifying_constants(a, c_min, c_max)[1], a)
 
-
-def validate_theorem(n: int, c: float) -> bool:
-    """Check the cited inequality against the exact slab fraction.
-
-    Numerical validation of the statement, not a proof.
-    """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise DomainError(f"dimension must be an integer >= 3, got {n!r}")
-    bound = concentration_bound(c)
-    width = c / math.sqrt(n - 1.0)
-    if width > 1.0:
-        raise DomainError(f"slab half-width {width:.4f} exceeds 1 at n={n}, c={c}")
-    return slab_fraction(int(n), -width, width) >= bound

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,11 +23,6 @@ from .errors import DomainError, GeometryError
 #: Offset of the small-ball center along e_1 that maximizes the volume of T:
 #: the unique root of 3a^2 - a - 3/4 = 0 in (1/2, 1).
 CANONICAL_OFFSET = (1.0 + math.sqrt(10.0)) / 6.0
-
-
-def canonical_offset() -> float:
-    """The volume-maximizing offset (1 + sqrt(10)) / 6."""
-    return CANONICAL_OFFSET
 
 
 def chord_coordinate(a: float) -> float:
@@ -72,14 +67,6 @@ class ConstructionParams:
             raise DomainError(f"offset must lie in (1/2, 1), got {self.a!r}")
 
 
-@dataclass(frozen=True)
-class PairClass:
-    """Classification of a point pair drawn for the distance audit."""
-
-    tag: str  # same_component | cross_component | outside
-    distance: float
-
-
 def _tightened(params: ConstructionParams, eps: float) -> tuple[float, float, float]:
     """(t, r, R) = (1/2 + eps, 1/2 - eps, 1 - eps): the threshold, small and
     outer radius of T tightened by eps, which must lie in [0, (a - 1/2)/2)."""
@@ -118,54 +105,3 @@ def component(params: ConstructionParams, X, eps: float = 0.0) -> np.ndarray:
     _in_T_mask(params, np.abs(x1), np.einsum("...i,...i->...", X, X), eps,
                inside, np.empty(x1.shape), np.empty(x1.shape, dtype=bool))
     return np.where(inside, np.sign(x1), 0.0).astype(np.int8)
-
-
-def _check_point(params: ConstructionParams, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.n,):
-        raise DomainError(f"point has shape {x.shape}, expected ({params.n},)")
-    return x
-
-
-def in_T(params: ConstructionParams, x) -> bool:
-    """Strict membership in the one-sided body T."""
-    return bool(component(params, _check_point(params, x)) == 1)
-
-
-def in_S(params: ConstructionParams, x) -> bool:
-    """Membership in S = T union -T."""
-    return bool(component(params, _check_point(params, x)) != 0)
-
-
-def classify_pair(params: ConstructionParams, x, y) -> PairClass:
-    """Classify a pair for the distance-1 audit.
-
-    Same-component pairs lie in one open ball of radius 1/2, hence distance
-    < 1; cross pairs have x_1 > 1/2 and y_1 < -1/2, hence distance > 1.
-    Violations of either bound are the audited theorem and must surface in
-    the recorded distance, never be dropped.
-    """
-    x = _check_point(params, x)
-    y = _check_point(params, y)
-    distance = float(np.linalg.norm(x - y))
-    sx, sy = component(params, np.stack([x, y]))
-    if sx == 0 or sy == 0:
-        return PairClass("outside", distance)
-    if sx == sy:
-        return PairClass("same_component", distance)
-    return PairClass("cross_component", distance)
-
-
-def inner_approximation(
-    params: ConstructionParams, epsilon: float
-) -> Callable[[np.ndarray], bool]:
-    """Closed membership predicate with every strict inequality tightened
-    by epsilon; a subset of S by construction."""
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    _tightened(params, epsilon)
-
-    def predicate(x) -> bool:
-        return bool(component(params, _check_point(params, x), epsilon) != 0)
-
-    return predicate

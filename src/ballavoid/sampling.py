@@ -66,8 +66,9 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class AuditReport:
     """Aggregate of a pair audit; violations must be zero for the theorem
-    to stand (a same-component pair at distance >= 1 or a cross pair at
-    distance <= 1 counts as a violation, never dropped)."""
+    to stand (a drawn point outside S, a same-component pair at distance
+    >= 1 or a cross pair at distance <= 1 counts as a violation, never
+    dropped)."""
 
     pairs_tested: int
     violations: int
@@ -75,7 +76,8 @@ class AuditReport:
     max_same_distance: float
     seed: int
     # Full-precision witnesses (x, y, tag, distance) for any violations,
-    # capped at 10; empty on every healthy run.
+    # capped at 10; empty on every healthy run.  An "outside" witness is a
+    # drawn point not in S: y is empty and distance is |x|.
     violating_pairs: tuple = ()
 
 
@@ -206,7 +208,8 @@ def _T_blocks(
         hits += idx.size
         if proposed >= 2048 and hits / proposed < 1e-4:
             raise NumericError(
-                f"rejection acceptance rate below 1e-4 at a={params.a!r}; offset is pathological"
+                f"rejection acceptance rate below 1e-4 at a={params.a!r}; offset is pathological",
+                best_estimate=hits / proposed,
             )
         idx = idx[: count - filled]
         filled += idx.size
@@ -308,8 +311,10 @@ def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generato
     cross and largest same squared distance, first witnesses).
 
     Each point lies in T or -T with probability 1/2.  Accepted points are
-    paired as each proposal block yields them, an odd one carried to the
-    next block, and |x -+ y|^2 is taken from the points of T: negation is
+    copied out of each proposal block and tested against T again, so a
+    row the sampler mislabels or misindexes is a violation.  They are
+    paired as each block yields them, an odd one carried to the next
+    block, and |x -+ y|^2 is taken from the points of T: negation is
     exact, so it equals the squared distance of the signed points."""
     positive = s.positive[: 2 * pairs]
     for half in (positive[:pairs], positive[pairs:]):
@@ -326,7 +331,17 @@ def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generato
     carried = done = 0
     for idx, _ in _T_blocks(params, rng, 2 * pairs, s):
         end = carried + idx.size
-        np.take(s.points, idx, axis=0, out=accepted[carried:end], mode="clip")
+        fresh, m = accepted[carried:end], idx.size
+        np.take(s.points, idx, axis=0, out=fresh, mode="clip")
+        inside = _in_T_mask(params, fresh[:, 0], _sq_norms(fresh, s.sq[:m]), 0.0,
+                            s.keep[:m], s.u[:m], s.test[:m])
+        if not inside.all():
+            outside = np.flatnonzero(~inside)
+            violations += outside.size
+            for i in outside[: _MAX_WITNESSES - len(witnesses)]:
+                sign = 1.0 if positive[2 * done + carried + i] else -1.0
+                witnesses.append((tuple(float(v) for v in sign * fresh[i]), (), "outside",
+                                  math.sqrt(s.sq[i])))
         k = end // 2
         x, y = accepted[0 : 2 * k : 2], accepted[1 : 2 * k : 2]
         diff = np.einsum("ij,i->ij", y, flip[done : done + k], out=s.diff[:k])

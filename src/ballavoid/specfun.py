@@ -2,8 +2,7 @@
 
 Everything here is pure and reentrant.  Volumes are carried as natural
 logs because the unit-ball volume underflows double precision near
-n ~ 1470 and 2^-n scale ratios lose precision far earlier; linear values
-are exposed on demand with an explicit underflow flag.
+n ~ 1470 and 2^-n scale ratios lose precision far earlier.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-
-# Smallest positive normal double; below this, exp() returns a subnormal
-# (or zero) and the linear representation is no longer trustworthy.
-_LOG_NORMAL_MIN = math.log(2.2250738585072014e-308)
 
 # Cap fractions whose incomplete-beta front factor lies below exp(this) are
 # carried as logs.  A cap is front * h / (n + 1) with h >= 1, so above it
@@ -32,34 +27,16 @@ class LogValue:
 
     log_magnitude: float
 
-    @classmethod
-    def from_linear(cls, value: float) -> "LogValue":
-        if not (value > 0 and math.isfinite(value)):
-            raise DomainError(f"LogValue requires a positive finite value, got {value!r}")
-        return cls(math.log(value))
-
-    @property
-    def underflows(self) -> bool:
-        """True when the linear value is not representable as a normal double."""
-        return self.log_magnitude < _LOG_NORMAL_MIN
-
     def linear(self) -> float:
-        """Linear-scale value; rounds to subnormal/zero when `underflows`."""
+        """Linear-scale value; subnormal or zero where it underflows."""
         return math.exp(self.log_magnitude)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def unit_ball_volume(n: int) -> LogValue:
     """Log of the volume of the unit ball in dimension n: pi^(n/2) / Gamma(1 + n/2)."""
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
-    return LogValue(0.5 * n * math.log(math.pi) - log_gamma(1.0 + 0.5 * n))
+    return LogValue(0.5 * n * math.log(math.pi) - math.lgamma(1.0 + 0.5 * n))
 
 
 def _beta_continued_fraction(a: float, b: float, z: float) -> float:
@@ -220,38 +197,12 @@ def _log_ball_cap_fractions(n_min: int, t: float, log_coef: np.ndarray) -> np.nd
     return out
 
 
-def _log_sub(x: float, y: float) -> float:
-    """log(exp(x) - exp(y)) for x >= y."""
-    if y == -math.inf:
-        return x
-    if y >= x:
-        return -math.inf
-    return x + math.log1p(-math.exp(y - x))
-
-
-def _check_slab(n: int, u0: float, u1: float) -> None:
+def slab_fraction(n: int, u0: float, u1: float) -> float:
+    """Fraction of the unit n-ball with first coordinate in [u0, u1]."""
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
     if not (-1.0 <= u0 <= u1 <= 1.0):
         raise DomainError(f"need -1 <= u0 <= u1 <= 1, got u0={u0!r}, u1={u1!r}")
-
-
-def log_slab_fraction(n: int, u0: float, u1: float) -> float:
-    """Natural log of slab_fraction(n, u0, u1), also where the fraction
-    underflows.  A slab on one side of the center is the difference of two
-    caps, taken in log scale; one around the center is 1 minus two caps of
-    less than 1/2 each, taken linearly as in slab_fraction."""
-    _check_slab(n, u0, u1)
-    if u0 < 0.0 < u1:
-        frac = 1.0 - _ball_cap_fraction(n, u1) - _ball_cap_fraction(n, -u0)
-        return math.log(frac) if frac > 0.0 else -math.inf
-    near, far = (u0, u1) if u0 >= 0.0 else (-u1, -u0)
-    return _log_sub(_log_ball_cap_fraction(n, near), _log_ball_cap_fraction(n, far))
-
-
-def slab_fraction(n: int, u0: float, u1: float) -> float:
-    """Fraction of the unit n-ball with first coordinate in [u0, u1]."""
-    _check_slab(n, u0, u1)
     if u0 >= 0.0:
         return _ball_cap_fraction(n, u0) - _ball_cap_fraction(n, u1)
     if u1 <= 0.0:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .construction import CANONICAL_OFFSET, chord_coordinate
 from .errors import DomainError, NumericError
-from .specfun import LogValue, _log_ball_cap_fractions, log_slab_fraction, unit_ball_volume
+from .specfun import LogValue, _log_ball_cap_fraction, _log_ball_cap_fractions, unit_ball_volume
 
 LOG_HALF = math.log(0.5)
 LOG_TWO = math.log(2.0)
@@ -51,7 +52,7 @@ class VolumeEstimate:
     """
 
     log_value: LogValue
-    method: str  # quadrature | closed_form | monte_carlo | lower_bound
+    method: str  # quadrature | closed_form | monte_carlo
     error_bound: float
 
     def __post_init__(self):
@@ -59,8 +60,7 @@ class VolumeEstimate:
             raise DomainError("error_bound must be nonnegative")
 
 
-@dataclass(frozen=True, slots=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     """Per-dimension record of the counterexample inequality.
 
     margin = 2^n * (vol S / vol B) - 1; positivity refutes the (1/2)^n
@@ -170,15 +170,32 @@ def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET, tol: float = DEFAULT_T
     return VolumeEstimate(LogValue(log_vol), "quadrature", error)
 
 
+def _log_scaled(n, a: float, log_cap):
+    """log(2^n vol T / v_n) at the dimension or array of dimensions n, where
+    log_cap(t) is the log of the unit-ball cap fraction beyond x_1 = t at n.
+
+    The slab piece is the unit ball (the small ball rescaled) over
+    [1 - 2a, 2(c - a)]: 1 minus two caps where the slab holds the center,
+    the difference of two caps, in log scale, where it lies to one side.
+    The cap piece is 2^n times the cap beyond the chord plane c.
+    """
+    c = chord_coordinate(a)
+    u1 = 2.0 * (c - a)
+    if u1 > 0.0:
+        log_slab = np.log(1.0 - np.exp(log_cap(u1)) - np.exp(log_cap(2.0 * (a - 0.5))))
+    else:
+        near, far = log_cap(-u1), log_cap(2.0 * (a - 0.5))
+        log_slab = near + np.log1p(-np.exp(far - near))
+    return np.logaddexp(log_slab, n * LOG_TWO + log_cap(c))
+
+
 def _closed_form(n: int, a: float) -> tuple[VolumeEstimate, float]:
     """vol_T_closed_form's estimate, and log(2^n vol T / v_n).  The latter is
     of order 1 at every n; formed without v_n and (1/2)^n, it does not round
     at the ulp of |log vol T| (7e-12 at n = 10000)."""
     _check_params(n, a)
-    c = chord_coordinate(a)
     n = int(n)
-    log_slab = log_slab_fraction(n, 2.0 * (0.5 - a), 2.0 * (c - a))
-    log_scaled = float(np.logaddexp(log_slab, n * LOG_TWO + log_slab_fraction(n, c, 1.0)))
+    log_scaled = float(_log_scaled(n, a, lambda t: _log_ball_cap_fraction(n, t)))
     log_vol = unit_ball_volume(n).log_magnitude + n * LOG_HALF + log_scaled
     est = VolumeEstimate(LogValue(log_vol), "closed_form", CLOSED_FORM_REL_ERROR * abs(log_vol))
     return est, log_scaled
@@ -193,17 +210,6 @@ def vol_T_closed_form(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     error_bound is CLOSED_FORM_REL_ERROR * |log vol T|.
     """
     return _closed_form(n, a)[0]
-
-
-def lower_bound_vol_T(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
-    """The slab piece alone: a lower bound for vol T (the cap is dropped).
-    error_bound is CLOSED_FORM_REL_ERROR * |log vol|, as for the closed form."""
-    _check_params(n, a)
-    n = int(n)
-    upper = min(a - 0.5, chord_coordinate(a) - a)  # stay inside the unit ball for any offset
-    log_slab = log_slab_fraction(n, 2.0 * (0.5 - a), 2.0 * upper)
-    log_vol = unit_ball_volume(n).log_magnitude + n * LOG_HALF + log_slab
-    return VolumeEstimate(LogValue(log_vol), "lower_bound", CLOSED_FORM_REL_ERROR * abs(log_vol))
 
 
 def ratio_S(
@@ -274,9 +280,9 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> list[Rat
     """RatioRow for every dimension in [n_min, n_max]; each positive margin
     is the direct check of the counterexample inequality at that n.
 
-    The same log(2^n vol T / v_n) as ratio_S, from the same three caps, but
-    each cap is taken for all n at once by the recurrence in n of
-    _log_ball_cap_fractions, from a few scalar seeds.
+    The same _log_scaled as ratio_S, but each of its three caps is taken
+    for all n at once by the recurrence in n of _log_ball_cap_fractions,
+    from a few scalar seeds.
     """
     if not (isinstance(n_min, (int, np.integer)) and isinstance(n_max, (int, np.integer))):
         raise DomainError("dimension bounds must be integers")
@@ -284,24 +290,12 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> list[Rat
         raise DomainError(f"need 2 <= n_min <= n_max <= 10000, got [{n_min}, {n_max}]")
     _check_params(n_min, a)
     n_min, n_max = int(n_min), int(n_max)
-    c = chord_coordinate(a)
     n = np.arange(n_min, n_max + 1)
     # lgamma(n/2 + 1) normalizes v_n; with its neighbour at n + 1 it gives
     # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)).
     lg = np.array(list(map(math.lgamma, (0.5 * np.arange(n_min, n_max + 2) + 1.0).tolist())))
     log_coef = lg[:-1] - lg[1:] - 0.5 * LOG_PI
-
-    def log_cap(t: float) -> np.ndarray:
-        return _log_ball_cap_fractions(n_min, t, log_coef)
-
-    # The slab [1 - 2a, 2(c - a)] of the unit ball, as in log_slab_fraction.
-    u1 = 2.0 * (c - a)
-    if u1 > 0.0:
-        log_slab = np.log(1.0 - np.exp(log_cap(u1)) - np.exp(log_cap(2.0 * (a - 0.5))))
-    else:
-        near, far = log_cap(-u1), log_cap(2.0 * (a - 0.5))
-        log_slab = near + np.log1p(-np.exp(far - near))
-    log_scaled = np.logaddexp(log_slab, n * LOG_TWO + log_cap(c))
+    log_scaled = _log_scaled(n, a, lambda t: _log_ball_cap_fractions(n_min, t, log_coef))
     log_vol = 0.5 * n * LOG_PI - lg[:-1] + n * LOG_HALF + log_scaled
     scaled = np.exp(LOG_TWO + log_scaled)
     return [

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +66,18 @@ class TestRatio:
     def test_invalid_dimension_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["ratio", "--n", "1"])
         assert code == 2
+
+    def test_log_ratio_where_linear_ratio_underflows(self, capsys):
+        code, out = run_cli(capsys, ["ratio", "--n", "10000", "--format", "json"])
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["ratio"] == 0.0
+        assert res["log_ratio"] == pytest.approx(
+            math.log(res["scaled"]) - 10000 * math.log(2.0), rel=1e-15)
+        assert -6931.5 < res["log_ratio"] < -6930.0
+        assert 0.0 < res["log_error_bound"] < 1e-9
+        _, out = run_cli(capsys, ["ratio", "--n", "10000", "--format", "csv"])
+        assert out.splitlines()[0] == "n,ratio,scaled,margin,log_ratio,log_error_bound"
 
 
 class TestDimensionRange:
@@ -180,6 +193,24 @@ class TestVerify:
             assert proc.returncode == 0, proc.stderr
             out[cpus] = proc.stdout
         assert out["one"] == out["all"]
+
+    def test_log_ratios_where_linear_ratios_underflow(self, capsys):
+        code, out = run_cli(capsys, ["verify", "--n", "2000", "--pairs", "10000",
+                                     "--samples", "10000", "--format", "json"])
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["mc_ratio"] == res["analytic_ratio"] == 0.0
+        assert res["analytic_log_ratio"] == pytest.approx(
+            math.log(ratio_table(2000, 2000)[0].scaled) - 2000 * math.log(2.0), rel=1e-15)
+        assert abs(res["mc_log_ratio"] - res["analytic_log_ratio"]) < 1e-3
+
+    def test_numeric_failure_reports_acceptance_rate(self, capsys):
+        code = main(["verify", "--n", "500", "--a", "0.99", "--pairs", "10000",
+                     "--samples", "10000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: numerical failure: rejection acceptance rate below 1e-4")
+        assert err.rstrip().endswith("(best_estimate=0)")
 
     def test_worker_error_exits_one_without_traceback(self, capsys):
         # The audit's rejection sampler gives up inside a worker thread.

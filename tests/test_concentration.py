@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+from ballavoid.cli import main
 from ballavoid.concentration import (
     C_STAR,
     best_certificate,
@@ -9,7 +11,6 @@ from ballavoid.concentration import (
     certifying_constants,
     concentration_bound,
     minimal_certified_n,
-    validate_theorem,
 )
 from ballavoid.construction import CANONICAL_OFFSET
 from ballavoid.errors import CertificateError, DomainError
@@ -145,21 +146,34 @@ class TestCStar:
         assert 2 * concentration_bound(C_STAR * (1 - 1e-12)) < 1.0
 
 
+def concentration_rows(capsys, n_max, c_list):
+    """Rows of the concentration-check command, the one code path that
+    checks the cited inequality against the exact slab fraction."""
+    code = main(["concentration-check", "--n-max", str(n_max), "--c-list", c_list,
+                 "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)["results"]["rows"]
+
+
 class TestValidateTheorem:
-    def test_hand_cubic_case(self):
+    def test_hand_cubic_case(self, capsys):
         # n=3, c=1: exact slab fraction (3/2)(h - h^3/3) at h = 1/sqrt(2).
         h = 1 / math.sqrt(2)
         exact = 1.5 * (h - h**3 / 3)
         assert exact == pytest.approx(0.8838834765, abs=1e-9)
-        assert validate_theorem(3, 1.0)
+        code, rows = concentration_rows(capsys, 3, "1")
+        assert code == 0
+        assert rows[0]["exact"] == pytest.approx(exact, rel=1e-14)
+        assert rows[0]["status"] == "ok"
 
-    def test_wide_slab_rejected(self):
-        with pytest.raises(DomainError):
-            validate_theorem(3, 2.0)
+    def test_wide_slab_rejected(self, capsys):
+        _, rows = concentration_rows(capsys, 3, "2")
+        assert rows == [{"n": 3, "c": 2.0, "exact": "", "bound": "", "slack": "",
+                         "status": "skipped: width > 1"}]
 
-    def test_full_grid(self):
-        for n in range(3, 51):
-            for c in (1.0, 1.5, 2.0, 3.0):
-                if c / math.sqrt(n - 1) > 1.0:
-                    continue
-                assert validate_theorem(n, c)
+    def test_full_grid(self, capsys):
+        code, rows = concentration_rows(capsys, 50, "1,1.5,2,3")
+        assert code == 0
+        checked = [r for r in rows if r["status"] != "skipped: width > 1"]
+        assert {(r["n"], r["c"]) for r in checked} == {
+            (n, c) for n in range(3, 51) for c in (1.0, 1.5, 2.0, 3.0) if c / math.sqrt(n - 1) <= 1.0}
+        assert all(r["status"] == "ok" and r["slack"] >= 0 for r in checked)

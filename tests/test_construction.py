@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballavoid import sampling
 from ballavoid.construction import (
     CANONICAL_OFFSET,
     ConstructionParams,
-    canonical_offset,
     chord_coordinate,
     _in_T_mask,
-    classify_pair,
     component,
     equidistance_residual,
-    in_S,
-    in_T,
-    inner_approximation,
 )
 from ballavoid.errors import DomainError, GeometryError
 
@@ -25,6 +21,11 @@ def e1(n, value=1.0):
     x = np.zeros(n)
     x[0] = value
     return x
+
+
+def label(p, x, eps=0.0):
+    """component's label of the single point x."""
+    return int(component(p, x, eps))
 
 
 def bisect_offset_polynomial():
@@ -43,14 +44,14 @@ def bisect_offset_polynomial():
 
 class TestCanonicalOffset:
     def test_matches_bisection_oracle(self):
-        assert canonical_offset() == pytest.approx(bisect_offset_polynomial(), abs=1e-10)
-        assert canonical_offset() == pytest.approx(0.6937129434, abs=1e-10)
+        assert CANONICAL_OFFSET == pytest.approx(bisect_offset_polynomial(), abs=1e-10)
+        assert CANONICAL_OFFSET == pytest.approx(0.6937129434, abs=1e-10)
 
     def test_in_valid_range(self):
-        assert 0.5 < canonical_offset() < 1.0
+        assert 0.5 < CANONICAL_OFFSET < 1.0
 
     def test_equidistance_defining_property(self):
-        assert equidistance_residual(canonical_offset()) == pytest.approx(0.0, abs=1e-12)
+        assert equidistance_residual(CANONICAL_OFFSET) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestChordCoordinate:
@@ -108,103 +109,103 @@ class TestParams:
 class TestMembership:
     def test_small_ball_center_inside(self):
         p = ConstructionParams(4)
-        assert in_T(p, e1(4, p.a))
+        assert label(p, e1(4, p.a)) == 1
 
     def test_threshold_boundary_excluded(self):
         p = ConstructionParams(4)
-        assert not in_T(p, e1(4, 0.5))
+        assert label(p, e1(4, 0.5)) == 0
 
     def test_near_axis_point(self):
         # |0.99 - a| ~ 0.296 < 0.5 by hand.
         p = ConstructionParams(2)
-        assert in_T(p, e1(2, 0.99))
-        assert in_S(p, e1(2, 0.99))
+        assert label(p, e1(2, 0.99)) == 1
 
     def test_reflection_and_origin(self):
         p = ConstructionParams(3)
-        assert in_S(p, e1(3, -p.a))
-        assert not in_S(p, np.zeros(3))
+        assert label(p, e1(3, -p.a)) == -1
+        assert label(p, np.zeros(3)) == 0
 
     def test_dimension_mismatch(self):
         p = ConstructionParams(3)
         with pytest.raises(DomainError):
-            in_T(p, np.zeros(4))
+            component(p, np.zeros(4))
         with pytest.raises(DomainError):
-            in_S(p, np.zeros(2))
+            component(p, np.zeros(2))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
     def test_central_symmetry(self, coords):
         p = ConstructionParams(3)
         x = np.array(coords)
-        assert in_S(p, x) == in_S(p, -x)
+        assert label(p, x) == -label(p, -x)
 
     def test_membership_implies_shell_bounds(self):
-        from ballavoid.sampling import sample_T
-
+        # Points of T straight from the rejection kernel.
         p = ConstructionParams(5)
-        pts, _ = sample_T(p, np.random.Generator(np.random.PCG64(11)), 2000)
+        s = sampling._Buffers(2048, p.n)
+        rng = np.random.Generator(np.random.PCG64(11))
+        pts = np.concatenate([s.points[idx] for idx, _ in sampling._T_blocks(p, rng, 2000, s)])
         norms = np.linalg.norm(pts, axis=1)
+        assert pts.shape == (2000, 5)
         assert np.all((pts[:, 0] > 0.5) & (pts[:, 0] < 1.0))
         assert np.all((norms > 0.5) & (norms < 1.0))
 
 
 class TestClassifyPair:
+    """The audit's classes of a pair: both points in one component (distance
+    < 1), in opposite components (distance > 1), or a point outside S."""
+
     def test_antipodal_centers_cross(self):
         p = ConstructionParams(3)
-        res = classify_pair(p, e1(3, p.a), e1(3, -p.a))
-        assert res.tag == "cross_component"
-        assert res.distance == pytest.approx(2 * p.a, abs=1e-12)
-        assert res.distance > 1.0
+        x, y = e1(3, p.a), e1(3, -p.a)
+        assert component(p, np.stack([x, y])).tolist() == [1, -1]
+        assert np.linalg.norm(x - y) == pytest.approx(2 * p.a, abs=1e-12)
+        assert np.linalg.norm(x - y) > 1.0
 
     def test_nearby_points_same_component(self):
         p = ConstructionParams(2)
-        res = classify_pair(p, e1(2, p.a), e1(2, 0.99))
-        assert res.tag == "same_component"
-        assert res.distance == pytest.approx(0.99 - p.a, abs=1e-12)
-        assert res.distance < 1.0
+        x, y = e1(2, p.a), e1(2, 0.99)
+        assert component(p, np.stack([x, y])).tolist() == [1, 1]
+        assert np.linalg.norm(x - y) == pytest.approx(0.99 - p.a, abs=1e-12)
 
     def test_outside_point(self):
         p = ConstructionParams(3)
-        assert classify_pair(p, np.zeros(3), e1(3, p.a)).tag == "outside"
+        assert component(p, np.stack([np.zeros(3), e1(3, p.a)])).tolist() == [0, 1]
 
     def test_dimension_mismatch(self):
         p = ConstructionParams(3)
         with pytest.raises(DomainError):
-            classify_pair(p, np.zeros(3), np.zeros(2))
+            component(p, np.zeros((2, 2)))
 
 
 class TestInnerApproximation:
+    """component with eps > 0: the closed set with every inequality
+    tightened by eps."""
+
     def test_epsilon_range_enforced(self):
         p = ConstructionParams(3)
         with pytest.raises(DomainError):
-            inner_approximation(p, 0.0)
+            component(p, np.zeros(3), -1e-3)
         with pytest.raises(DomainError):
-            inner_approximation(p, (p.a - 0.5) / 2)
+            component(p, np.zeros(3), (p.a - 0.5) / 2)
 
     def test_deep_interior_point(self):
         p = ConstructionParams(3)
-        pred = inner_approximation(p, 1e-3)
-        assert pred(e1(3, p.a))
-        assert pred(e1(3, -p.a))
+        assert label(p, e1(3, p.a), 1e-3) == 1
+        assert label(p, e1(3, -p.a), 1e-3) == -1
 
     def test_shell_witness_inside_T_but_not_tightened(self):
         p = ConstructionParams(2)
         x = np.array([0.5 + 5e-4, 0.1])
-        assert in_T(p, x)
-        assert not inner_approximation(p, 1e-3)(x)
+        assert label(p, x) == 1
+        assert label(p, x, 1e-3) == 0
 
     def test_subset_of_S(self):
         p = ConstructionParams(3)
-        pred = inner_approximation(p, 5e-3)
-        rng = np.random.default_rng(12)
-        hits = 0
-        for _ in range(3000):
-            x = rng.uniform(-1.0, 1.0, 3)
-            if pred(x):
-                hits += 1
-                assert in_S(p, x)
-        assert hits > 0
+        X = np.random.default_rng(12).uniform(-1.0, 1.0, (3000, 3))
+        inner = component(p, X, 5e-3) != 0
+        assert np.count_nonzero(inner) > 0
+        assert np.all(component(p, X[inner]) == component(p, X[inner], 5e-3))
 
 
 def definition_in_T(a, y, eps):
@@ -265,7 +266,7 @@ class TestComponent:
         p = ConstructionParams(2)
         x = np.array([0.55, 0.6])
         assert x[0] > 0.5 and x @ x < 1.0
-        assert not in_T(p, x)
+        assert label(p, x) == 0
         out, test = np.empty(1, dtype=bool), np.empty(1, dtype=bool)
         _in_T_mask(p, x[:1], np.array([x @ x]), 0.0, out, np.empty(1), test)
         assert not out[0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ballavoid import sampling
-from ballavoid.construction import ConstructionParams, in_S, in_T, inner_approximation
+from ballavoid.construction import ConstructionParams, component
 from ballavoid.errors import DomainError, NumericError
 from ballavoid.sampling import (
     _AUDIT_STREAM,
@@ -18,8 +18,6 @@ from ballavoid.sampling import (
     _chunk_rng,
     mc_volume_ratio,
     pair_audit,
-    sample_T,
-    sample_unit_ball,
 )
 from ballavoid.specfun import slab_fraction
 from ballavoid.volume import ratio_S
@@ -29,6 +27,25 @@ N_SAMPLES = 200_000
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def ball_points(n, rng, count, radius=1.0):
+    """count uniform points of the open n-ball of the given radius, from
+    the kernel every sampler draws its proposals with."""
+    g = np.empty((count, n))
+    sampling._fill_ball(rng, g, np.empty(count), np.empty(count), radius)
+    return g
+
+
+def draw_T(params, rng, count):
+    """count points of T and the acceptance rate, from the rejection kernel
+    the audit draws with; rows are gathered by plain indexing, which
+    rejects an out-of-range index."""
+    s = sampling._Buffers(min(max(count, 2048), sampling._chunk_rows(params.n)), params.n)
+    blocks, rate = [], 0.0
+    for idx, rate in sampling._T_blocks(params, rng, count, s):
+        blocks.append(s.points[idx])
+    return np.concatenate(blocks), rate
 
 
 class TestSamplerConfig:
@@ -45,26 +62,26 @@ class TestSamplerConfig:
 
 class TestSampleUnitBall:
     def test_all_inside(self):
-        x = sample_unit_ball(4, rng_for(0), 10_000)
+        x = ball_points(4, rng_for(0), 10_000)
         assert np.all(np.linalg.norm(x, axis=1) < 1.0)
 
     def test_coordinate_means_near_zero(self):
-        x = sample_unit_ball(3, rng_for(1), N_SAMPLES)
+        x = ball_points(3, rng_for(1), N_SAMPLES)
         assert np.all(np.abs(x.mean(axis=0)) < 0.005)
 
     def test_radius_scaling(self):
-        x = sample_unit_ball(2, rng_for(2), N_SAMPLES)
+        x = ball_points(2, rng_for(2), N_SAMPLES)
         frac = np.mean(np.linalg.norm(x, axis=1) <= 0.5)
         assert frac == pytest.approx(0.25, abs=0.004)
 
     def test_marginal_matches_slab_fraction(self):
-        x = sample_unit_ball(3, rng_for(3), N_SAMPLES)
+        x = ball_points(3, rng_for(3), N_SAMPLES)
         frac = np.mean((x[:, 0] >= 0.0) & (x[:, 0] <= 0.5))
         assert frac == pytest.approx(slab_fraction(3, 0.0, 0.5), abs=0.004)
 
     def test_determinism(self):
-        a = sample_unit_ball(5, rng_for(9), 1000)
-        b = sample_unit_ball(5, rng_for(9), 1000)
+        a = ball_points(5, rng_for(9), 1000)
+        b = ball_points(5, rng_for(9), 1000)
         assert np.array_equal(a, b)
 
 
@@ -75,9 +92,9 @@ ACCEPTANCE = [(2, 0.5697868742896341), (3, 0.6252470442573573)]
 class TestSampleT:
     def test_membership_invariant(self):
         p = ConstructionParams(3)
-        pts, _ = sample_T(p, rng_for(4), 5000)
-        for x in pts[:200]:
-            assert in_T(p, x)
+        pts, _ = draw_T(p, rng_for(4), 5000)
+        assert pts.shape == (5000, 3)
+        assert np.all(component(p, pts) == 1)
         perp = np.einsum("ij,ij->i", pts[:, 1:], pts[:, 1:])
         assert np.all(pts[:, 0] > 0.5)
         assert np.all((pts[:, 0] - p.a) ** 2 + perp < 0.25)
@@ -95,18 +112,18 @@ class TestSampleT:
 
         monkeypatch.setattr(sampling, "_fill_ball", place)
         keep = sampling._propose(p, None, sampling._Buffers(len(pts), 2), len(pts))
-        assert keep.tolist() == [in_T(p, x) for x in pts] == [False, True, False, False, True]
+        assert keep.tolist() == (component(p, pts) == 1).tolist() == [False, True, False, False, True]
 
     @pytest.mark.parametrize("n,expected", ACCEPTANCE)
     def test_acceptance_rate(self, n, expected):
-        _, rate = sample_T(ConstructionParams(n), rng_for(5), N_SAMPLES)
+        _, rate = draw_T(ConstructionParams(n), rng_for(5), N_SAMPLES)
         assert rate == pytest.approx(expected, abs=0.005)
 
     @pytest.mark.parametrize("n,expected", ACCEPTANCE)
     def test_rate_counts_surplus_hits(self, n, expected):
         # One point from a 2048-proposal block: the ~1200 surplus hits
         # still count, so the rate estimates the acceptance probability.
-        _, rate = sample_T(ConstructionParams(n), rng_for(5), 1)
+        _, rate = draw_T(ConstructionParams(n), rng_for(5), 1)
         assert rate == pytest.approx(expected, abs=0.04)
 
 
@@ -288,9 +305,12 @@ class TestViolationPath:
         # Accept every proposal of B(a e_1, 1/2) but the first of each
         # block, and move the last one out to x_1 = 10.  Blocks of even size
         # then accept odd counts, so that point is carried and paired with
-        # the first point of the next block; same-component pairs holding
-        # it are violations.  The reference draws the same stream, signs
-        # all points and takes the distances of whole chunks at once.
+        # the first point of the next block; it is outside S, and
+        # same-component pairs holding it are violations too.  The
+        # reference draws the same stream, signs all points and takes
+        # labels and distances of whole chunks at once; its witnesses
+        # follow the audit's order: per block, the points outside S, then
+        # the pairs the block completes.
         propose = sampling._propose
 
         def accept_all_but_first(params, rng, s, m):
@@ -313,41 +333,68 @@ class TestViolationPath:
             blocks, filled = [], 0
             while filled < 2 * rows:
                 m = min(max(2 * rows - filled, 2048), chunk_rows)
-                y = sample_unit_ball(params.n, rng, m) * 0.5
+                y = ball_points(params.n, rng, m, 0.5)
                 y[:, 0] += params.a
                 y[-1, 0] = 10.0
                 blocks.append(y[1:][: 2 * rows - filled])
                 filled += blocks[-1].shape[0]
             points = np.concatenate(blocks) * signs[:, None]
+            outside = component(params, points) == 0
+            norms = np.sqrt(np.einsum("ij,ij->i", points, points))
             x, y = points[0::2], points[1::2]
             same = signs[0::2] == signs[1::2]
             dist = np.sqrt(np.einsum("ij,ij->i", x - y, x - y))
             bad = (same & (dist >= 1.0)) | (~same & (dist <= 1.0))
-            violations += int(np.count_nonzero(bad))
-            for i in np.flatnonzero(bad)[: 10 - len(witnesses)]:
-                tag = "same_component" if same[i] else "cross_component"
-                witnesses.append((tuple(x[i]), tuple(y[i]), tag, float(dist[i])))
+            violations += int(np.count_nonzero(outside)) + int(np.count_nonzero(bad))
+            start = 0
+            for end in np.cumsum([block.shape[0] for block in blocks]):
+                found = [(tuple(points[j]), (), "outside", float(norms[j]))
+                         for j in start + np.flatnonzero(outside[start:end])]
+                found += [(tuple(x[i]), tuple(y[i]),
+                           "same_component" if same[i] else "cross_component", float(dist[i]))
+                          for i in range(start // 2, end // 2) if bad[i]]
+                witnesses += found[: 10 - len(witnesses)]
+                start = end
             dists.append((dist[~same].min(), dist[same].max()))
         rep = pair_audit(cfg)
         assert rep.max_same_distance > 8.0
+        assert {tag for _, _, tag, _ in rep.violating_pairs} == {"outside", "same_component"}
         assert rep.violations == violations > 0
         assert rep.violating_pairs == tuple(witnesses)
         assert rep.min_cross_distance == min(lo for lo, _ in dists)
         assert rep.max_same_distance == max(hi for _, hi in dists)
 
 
+    def test_misindexed_rows_are_outside(self, monkeypatch):
+        # An off-by-one in the rows the rejection kernel reports makes the
+        # audit copy rejected proposals (and, past the block, clamped or
+        # stale rows); checking the copies against T itself catches it.
+        blocks = sampling._T_blocks
+
+        def shifted(params, rng, count, s):
+            for idx, rate in blocks(params, rng, count, s):
+                yield idx + 1, rate
+
+        monkeypatch.setattr(sampling, "_T_blocks", shifted)
+        p = ConstructionParams(2)
+        rep = pair_audit(SamplerConfig(0, 10_000, p))
+        assert rep.violations > 0
+        outside = [(x, y, dist) for x, y, tag, dist in rep.violating_pairs if tag == "outside"]
+        assert outside
+        for x, y, dist in outside:
+            assert component(p, x) == 0 and y == ()
+            assert dist == pytest.approx(np.linalg.norm(x), rel=1e-15)
+
+
 class TestInnerApproximationAudit:
     def test_tightened_set_distances_and_containment(self):
         p = ConstructionParams(2)
         eps = 1e-3
-        pred = inner_approximation(p, eps)
         rng = rng_for(6)
-        pts, _ = sample_T(p, rng, 40_000)
-        keep = np.array([pred(x) for x in pts])
-        inner_pts = pts[keep]
+        pts, _ = draw_T(p, rng, 40_000)
+        inner_pts = pts[component(p, pts, eps) != 0]
         assert inner_pts.shape[0] > 1000
-        for x in inner_pts[:300]:
-            assert in_S(p, x)
+        assert np.all(component(p, inner_pts) == 1)
         signs = np.where(rng.random(inner_pts.shape[0]) < 0.5, 1.0, -1.0)
         signed = inner_pts * signs[:, None]
         half = signed.shape[0] // 2

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from ballavoid.volume import (
     _log_cos_power,
     adaptive_gauss_legendre,
     dvol_da,
-    lower_bound_vol_T,
     maximize_a,
     ratio_S,
     ratio_table,
@@ -55,8 +55,6 @@ def oracle_vol_T3(a=A):
 # Frozen from the oracles above.
 VOL_T2 = 0.4475095645950514
 VOL_T3 = 0.3273785868196076
-LOWER_T2 = 0.3775030120694277
-LOWER_T3 = 0.2890593780223384
 RATIO_2 = 0.2848934371448171
 RATIO_3 = 0.1563117610643393
 
@@ -66,9 +64,7 @@ class TestOracleSelfConsistency:
         slab2, cap2 = oracle_vol_T2()
         slab3, cap3 = oracle_vol_T3()
         assert slab2 + cap2 == pytest.approx(VOL_T2, abs=1e-14)
-        assert slab2 == pytest.approx(LOWER_T2, abs=1e-14)
         assert slab3 + cap3 == pytest.approx(VOL_T3, abs=1e-14)
-        assert slab3 == pytest.approx(LOWER_T3, abs=1e-14)
         assert 2 * (slab2 + cap2) / math.pi == pytest.approx(RATIO_2, abs=1e-14)
         assert 2 * (slab3 + cap3) / (4 * math.pi / 3) == pytest.approx(RATIO_3, abs=1e-14)
 
@@ -116,13 +112,12 @@ class TestVolT:
     def test_high_dimension_stays_finite(self):
         est = vol_T_closed_form(5000)
         assert math.isfinite(est.log_value.log_magnitude)
-        assert est.log_value.underflows
+        assert est.log_value.linear() < sys.float_info.min
 
 
-def mpmath_log_vol_T(n, a, mp, lower_bound=False):
+def mpmath_log_vol_T(n, a, mp):
     """log vol T from 60-digit incomplete beta values, caps in the
-    complement form I_{1-t^2}((n+1)/2, 1/2)/2; with lower_bound, log of
-    the slab piece up to min(a - 1/2, c - a) alone."""
+    complement form I_{1-t^2}((n+1)/2, 1/2)/2."""
     a = mp.mpf(a)
     c = (a * a + mp.mpf(3) / 4) / (2 * a)
 
@@ -131,10 +126,10 @@ def mpmath_log_vol_T(n, a, mp, lower_bound=False):
             return mp.mpf(0)
         return mp.betainc((n + 1) / mp.mpf(2), mp.mpf(1) / 2, 0, 1 - t * t, regularized=True) / 2
 
-    u0, u1 = 2 * (mp.mpf(1) / 2 - a), 2 * (min(a - mp.mpf(1) / 2, c - a) if lower_bound else c - a)
+    u0, u1 = 2 * (mp.mpf(1) / 2 - a), 2 * (c - a)
     slab = cap(-u1) - cap(-u0) if u1 <= 0 else 1 - cap(u1) - cap(-u0)
     log_vn = n / mp.mpf(2) * mp.log(mp.pi) - mp.loggamma(1 + mp.mpf(n) / 2)
-    return log_vn + mp.log(mp.power(2, -n) * slab + (0 if lower_bound else cap(c)))
+    return log_vn + mp.log(mp.power(2, -n) * slab + cap(c))
 
 
 class TestClosedFormErrorBound:
@@ -145,15 +140,11 @@ class TestClosedFormErrorBound:
         # offset rounding alone exceeds 1e-12 at n = 3000.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 60
-        # The lower bound reported a fixed 1e-12, exceeded at n = 3000 here
-        # and at n = 10000 for a = 0.9.
         for n in (2, 3, 10, 100, 1000, 3000, 10000):
-            for route, lower in ((vol_T_closed_form, False), (lower_bound_vol_T, True)):
-                est = route(n, a)
-                exact = mpmath_log_vol_T(n, a, mpmath, lower_bound=lower)
-                err = abs(est.log_value.log_magnitude - float(exact))
-                assert err <= est.error_bound, (route.__name__, n, err, est.error_bound)
-                assert est.error_bound == CLOSED_FORM_REL_ERROR * abs(est.log_value.log_magnitude)
+            est = vol_T_closed_form(n, a)
+            err = abs(est.log_value.log_magnitude - float(mpmath_log_vol_T(n, a, mpmath)))
+            assert err <= est.error_bound, (n, err, est.error_bound)
+            assert est.error_bound == CLOSED_FORM_REL_ERROR * abs(est.log_value.log_magnitude)
 
     def test_offset_near_chord_equal_to_center(self):
         # At a = sqrt(3)/2 the chord plane passes through a e_1, so the slab
@@ -226,20 +217,6 @@ class TestRatioAgainstMpmath:
                 assert row.scaled == pytest.approx(float(mpmath.exp(log_scaled)), rel=5e-13)
 
 
-class TestLowerBound:
-    def test_frozen_values(self):
-        assert lower_bound_vol_T(2, A).log_value.linear() == pytest.approx(LOWER_T2, abs=1e-12)
-        assert lower_bound_vol_T(3, A).log_value.linear() == pytest.approx(LOWER_T3, abs=1e-12)
-
-    def test_never_exceeds_full_volume(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 7, 20, 45):
-            for a in rng.uniform(0.52, 0.98, 10):
-                lo = lower_bound_vol_T(n, float(a)).log_value.log_magnitude
-                hi = vol_T_closed_form(n, float(a)).log_value.log_magnitude
-                assert lo <= hi + 1e-14
-
-
 class TestRatio:
     def test_frozen_ratio_n2(self):
         row = ratio_S(2)
@@ -252,6 +229,12 @@ class TestRatio:
         row = ratio_S(3)
         assert row.ratio == pytest.approx(RATIO_3, abs=1e-12)
         assert f"{row.ratio:.10g}".startswith("0.1563")
+
+    def test_rows_are_immutable_tuples(self):
+        row = ratio_S(2)
+        assert tuple(row) == (row.n, row.ratio, row.scaled, row.margin, row.log_error_bound)
+        with pytest.raises(AttributeError):
+            row.n = 3
 
     def test_quadrature_method_matches(self):
         assert ratio_S(2, method="quadrature").ratio == pytest.approx(RATIO_2, rel=1e-10)
