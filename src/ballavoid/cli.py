@@ -1,14 +1,19 @@
 """Command-line front end: every quantitative claim is a subcommand.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
-2 = usage or I/O error.  JSON output always carries the keys
-{"command", "inputs", "results", "pass"}; text mode prints numbers with
-10 significant digits; CSV is header-first with '.' decimals.
+2 = usage or I/O error; main() maps the library's errors to them.  Every
+handler but figure and check-all passes its verdict and result builders
+to _emit, the one writer of a document.  JSON always carries the keys
+{"command", "inputs", "results", "pass"}, inputs being the parsed flags;
+text prints numbers with 10 significant digits; CSV (stdlib csv) is
+header-first with floats written by repr.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -22,7 +27,7 @@ from .construction import (
 )
 from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
-from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
+from .sampling import _Z99, SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
 from .volume import DEFAULT_TOL, maximize_a, ratio_S, ratio_table, vol_T_closed_form
 
@@ -54,32 +59,29 @@ def _write_out(payload: str, out: str | None) -> int:
     return 0
 
 
-def _csv_escape(v) -> str:
-    s = repr(v) if isinstance(v, float) else str(v)
-    if any(ch in s for ch in ',"\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
+# Namespace entries that pick the subcommand or route its output, not inputs.
+_NOT_INPUTS = ("command", "format", "out", "handler")
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_escape(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
-
-
-def _emit(args, doc, text_lines, csv_rows) -> int:
-    """Write the payload args.format asks for to args.out.  doc, text_lines
-    and csv_rows are builders taking no argument; only the one for that
-    format is called."""
+def _emit(args, ok: bool, results, text_lines, csv_rows) -> int:
+    """Write the payload args.format asks for to args.out and return the
+    exit code: 2 if it cannot be written, else 0 if ok, else 1.  results,
+    text_lines and csv_rows are builders taking no argument; only what
+    that format needs is called."""
     if args.format == "json":
-        payload = json.dumps(doc(), indent=2) + "\n"
+        inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+        doc = {"command": args.command, "inputs": inputs, "results": results(), "pass": ok}
+        payload = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
-        payload = _rows_to_csv(csv_rows())
+        rows = csv_rows()
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        payload = buf.getvalue()
     else:
         payload = "\n".join(text_lines()) + "\n"
-    return _write_out(payload, args.out)
+    return _write_out(payload, args.out) or (0 if ok else 1)
 
 
 def _row_dicts(rows) -> list[dict]:
@@ -104,39 +106,23 @@ def cmd_ratio(args) -> int:
     ok = row.margin > 0
     results = {"ratio": row.ratio, "scaled": row.scaled, "margin": row.margin,
                "log_ratio": _log_ratio(row), "log_error_bound": row.log_error_bound}
-    doc = {
-        "command": "ratio",
-        "inputs": {"n": args.n, "a": args.a, "method": args.method, "tol": args.tol},
-        "results": results,
-        "pass": ok,
-    }
 
     def text_lines():
         return _kv_lines([("n", row.n), ("a", args.a), ("method", args.method), *results.items()])
 
-    rc = _emit(args, lambda: doc, text_lines, lambda: [{"n": row.n, **results}])
-    return rc if rc else (0 if ok else 1)
+    return _emit(args, ok, lambda: results, text_lines, lambda: [{"n": row.n, **results}])
 
 
 def cmd_table(args) -> int:
     rows = ratio_table(2, args.max_n, args.a)
     ok = all(r.margin > 0 for r in rows)
 
-    def doc():
-        return {
-            "command": "table",
-            "inputs": {"max_n": args.max_n, "a": args.a},
-            "results": {"rows": _row_dicts(rows)},
-            "pass": ok,
-        }
-
     def text_lines():
         text = [f"{'n':>5}  {'ratio':>16}  {'scaled':>16}  {'margin':>16}"]
         text.extend(f"{r.n:>5}  {r.ratio:>16.10g}  {r.scaled:>16.10g}  {r.margin:>16.10g}" for r in rows)
         return text
 
-    rc = _emit(args, doc, text_lines, lambda: _row_dicts(rows))
-    return rc if rc else (0 if ok else 1)
+    return _emit(args, ok, lambda: {"rows": _row_dicts(rows)}, text_lines, lambda: _row_dicts(rows))
 
 
 def cmd_verify(args) -> int:
@@ -152,6 +138,7 @@ def cmd_verify(args) -> int:
     lo, hi = mc.log_interval(3.0)
     mc_ok = lo - slack <= analytic_log_ratio <= hi + slack
     ok = report.violations == 0 and mc_ok
+    log_ci99_low, log_ci99_high = mc.log_interval(_Z99)
     summary = {
         "pairs_tested": report.pairs_tested,
         "violations": report.violations,
@@ -160,6 +147,8 @@ def cmd_verify(args) -> int:
         "mc_ratio": mc.log_value.linear(),
         "mc_log_ratio": mc.log_value.log_magnitude,
         "mc_ci99_half_width": mc.error_bound,
+        "mc_log_ci99_low": log_ci99_low,
+        "mc_log_ci99_high": log_ci99_high,
         "analytic_ratio": row.ratio,
         "analytic_log_ratio": analytic_log_ratio,
         "mc_within_3_sigma": mc_ok,
@@ -170,15 +159,6 @@ def cmd_verify(args) -> int:
             {"tag": tag, "distance": dist, "x": list(x), "y": list(y)}
             for x, y, tag, dist in report.violating_pairs
         ]}
-    doc = {
-        "command": "verify",
-        "inputs": {
-            "n": args.n, "a": args.a, "pairs": args.pairs,
-            "samples": args.samples, "seed": args.seed,
-        },
-        "results": results,
-        "pass": ok,
-    }
 
     def text_lines():
         text = _kv_lines(list(summary.items()))
@@ -186,8 +166,7 @@ def cmd_verify(args) -> int:
                     for x, y, tag, dist in report.violating_pairs)
         return text
 
-    rc = _emit(args, lambda: doc, text_lines, lambda: [results])
-    return rc if rc else (0 if ok else 1)
+    return _emit(args, ok, lambda: results, text_lines, lambda: [results])
 
 
 def cmd_optimize_a(args) -> int:
@@ -208,23 +187,13 @@ def cmd_optimize_a(args) -> int:
         "equidistance_residual": equidistance_residual(argmax),
         "log_volume_drop_at_1e-3": min(drops),
     }
-    doc = {
-        "command": "optimize-a",
-        "inputs": {"n": args.n, "tol": args.tol},
-        "results": results,
-        "pass": ok,
-    }
-    rc = _emit(args, lambda: doc, lambda: _kv_lines(list(results.items())), lambda: [results])
-    return rc if rc else (0 if ok else 1)
+    return _emit(args, ok, lambda: results, lambda: _kv_lines(list(results.items())),
+                 lambda: [results])
 
 
 def cmd_threshold(args) -> int:
-    try:
-        c_lo, c_hi = certifying_constants(args.a, args.c_min, args.c_max)
-        best = minimal_certified_n(c_hi, args.a)
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    c_lo, c_hi = certifying_constants(args.a, args.c_min, args.c_max)
+    best = minimal_certified_n(c_hi, args.a)
     direct = ratio_table(2, best.n_min - 1, args.a) if best.n_min > 2 else []
     ok = best.n_min <= 15 and all(r.margin > 0 for r in direct)
     results = {
@@ -236,14 +205,6 @@ def cmd_threshold(args) -> int:
         "certifying_c_max": c_hi,
     }
 
-    def doc():
-        return {
-            "command": "threshold",
-            "inputs": {"a": args.a, "c_min": args.c_min, "c_max": args.c_max},
-            "results": {**results, "direct_checks": _row_dicts(direct)},
-            "pass": ok,
-        }
-
     def text_lines():
         text = _kv_lines(list(results.items()))
         text.append("direct checks:")
@@ -254,20 +215,14 @@ def cmd_threshold(args) -> int:
     def csv_rows():
         return _row_dicts(direct) or [{**results, "direct_checks": []}]
 
-    rc = _emit(args, doc, text_lines, csv_rows)
-    return rc if rc else (0 if ok else 1)
+    return _emit(args, ok, lambda: {**results, "direct_checks": _row_dicts(direct)}, text_lines,
+                 csv_rows)
 
 
 def cmd_figure(args) -> int:
-    params = ConstructionParams(2, args.a)
-    spec = build_figure_spec(params, args.scale, args.epsilon)
-    svg = render_svg(spec)
-    rc = _write_out(svg, args.out)
-    if rc:
-        return rc
-    base, _ = os.path.splitext(args.out)
-    csv_path = base + ".points.csv"
-    rc = _write_out(junction_csv(spec), csv_path)
+    spec = build_figure_spec(ConstructionParams(2, args.a), args.scale, args.epsilon)
+    csv_path = os.path.splitext(args.out)[0] + ".points.csv"
+    rc = _write_out(render_svg(spec), args.out) or _write_out(junction_csv(spec), csv_path)
     if rc:
         return rc
     w_seg, w_chord = spec.segment_half_width, spec.chord_half_width
@@ -298,12 +253,6 @@ def cmd_concentration_check(args) -> int:
             ok = ok and slack >= 0
             rows.append({"n": n, "c": c, "exact": exact, "bound": bound,
                          "slack": slack, "status": "ok" if slack >= 0 else "VIOLATED"})
-    doc = {
-        "command": "concentration-check",
-        "inputs": {"n_max": args.n_max, "c_list": args.c_list},
-        "results": {"rows": rows},
-        "pass": ok,
-    }
 
     def text_lines():
         text = [f"{'n':>4} {'c':>6} {'exact':>16} {'bound':>16} {'slack':>16}  status"]
@@ -314,8 +263,7 @@ def cmd_concentration_check(args) -> int:
         )
         return text
 
-    rc = _emit(args, lambda: doc, text_lines, lambda: rows)
-    return rc if rc else (0 if ok else 1)
+    return _emit(args, ok, lambda: {"rows": rows}, text_lines, lambda: rows)
 
 
 def cmd_check_all(args) -> int:
@@ -444,6 +392,9 @@ def main(argv=None) -> int:
             if value is not None]
         print(f"error: numerical failure: {exc}" + (f" ({', '.join(found)})" if found else ""),
               file=sys.stderr)
+        return 1
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

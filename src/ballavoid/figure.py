@@ -23,30 +23,17 @@ _CANVAS = 2.2
 
 
 @dataclass(frozen=True)
-class Arc:
-    center: tuple[float, float]
-    radius: float
-    start: tuple[float, float]
-    end: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Segment:
-    start: tuple[float, float]
-    end: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class FigureSpec:
-    """Arcs and segments of both components of S_2 plus canvas styling."""
+    """Radii and junction points of both components of S_2 plus canvas
+    styling.  junctions holds four (label, x, y) per component, in the
+    order its boundary passes them, positive component first."""
 
     small_radius: float
+    outer_radius: float
     offset: float
     segment_half_width: float
     chord_half_width: float
     scale: float = 256.0
-    arcs: list[Arc] = field(default_factory=list)
-    segments: list[Segment] = field(default_factory=list)
     junctions: list[tuple[str, float, float]] = field(default_factory=list)
 
 
@@ -66,33 +53,23 @@ def build_figure_spec(
     w_seg = math.sqrt(r * r - (t - a) ** 2)
     w_chord = math.sqrt(outer * outer - c * c)
 
-    arcs, segments, junctions = [], [], []
-    for s in (1.0, -1.0):
-        j1 = (s * t, -s * w_seg)
-        j2 = (s * t, s * w_seg)
-        j3 = (s * c, s * w_chord)
-        j4 = (s * c, -s * w_chord)
-        segments.append(Segment(j1, j2))
-        arcs.append(Arc((s * a, 0.0), r, j2, j3))
-        arcs.append(Arc((0.0, 0.0), outer, j3, j4))
-        arcs.append(Arc((s * a, 0.0), r, j4, j1))
-        side = "pos" if s > 0 else "neg"
+    junctions = []
+    for s, side in ((1.0, "pos"), (-1.0, "neg")):
         junctions.extend(
             [
-                (f"{side}_chord_lower", j1[0], j1[1]),
-                (f"{side}_chord_upper", j2[0], j2[1]),
-                (f"{side}_plane_upper", j3[0], j3[1]),
-                (f"{side}_plane_lower", j4[0], j4[1]),
+                (f"{side}_chord_lower", s * t, -s * w_seg),
+                (f"{side}_chord_upper", s * t, s * w_seg),
+                (f"{side}_plane_upper", s * c, s * w_chord),
+                (f"{side}_plane_lower", s * c, -s * w_chord),
             ]
         )
     return FigureSpec(
         small_radius=r,
+        outer_radius=outer,
         offset=a,
         segment_half_width=w_seg,
         chord_half_width=w_chord,
         scale=scale,
-        arcs=arcs,
-        segments=segments,
         junctions=junctions,
     )
 
@@ -101,18 +78,13 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _component_path(spec: FigureSpec, arcs: list[Arc], segment: Segment) -> str:
-    # Boundary runs clockwise in model coordinates; every arc is the minor
-    # one, so large-arc and sweep flags are both 0.
-    p = [f"M {_fmt(segment.start[0])} {_fmt(segment.start[1])}"]
-    p.append(f"L {_fmt(segment.end[0])} {_fmt(segment.end[1])}")
-    for arc in arcs:
-        p.append(
-            f"A {_fmt(arc.radius)} {_fmt(arc.radius)} 0 0 0 "
-            f"{_fmt(arc.end[0])} {_fmt(arc.end[1])}"
-        )
-    p.append("Z")
-    return " ".join(p)
+def _component_path(spec: FigureSpec, junctions) -> str:
+    """Chord segment j1 -> j2, then arcs of the small, the outer and the
+    small circle through j3, j4 and back to j1: clockwise in model
+    coordinates, every arc the minor one (large-arc and sweep flags 0)."""
+    p1, p2, p3, p4 = [f"{_fmt(x)} {_fmt(y)}" for _, x, y in junctions]
+    r, outer = _fmt(spec.small_radius), _fmt(spec.outer_radius)
+    return f"M {p1} L {p2} A {r} {r} 0 0 0 {p3} A {outer} {outer} 0 0 0 {p4} A {r} {r} 0 0 0 {p1} Z"
 
 
 def render_svg(spec: FigureSpec) -> str:
@@ -136,8 +108,8 @@ def render_svg(spec: FigureSpec) -> str:
             f'<circle cx="{_fmt(cx)}" cy="0" r="{_fmt(spec.small_radius)}" fill="none" '
             f'stroke="#666666" stroke-width="{thin:.6g}" stroke-dasharray="{dash}"/>'
         )
-    for idx, segment in enumerate(spec.segments):
-        path = _component_path(spec, spec.arcs[3 * idx : 3 * idx + 3], segment)
+    for idx in (0, 4):
+        path = _component_path(spec, spec.junctions[idx : idx + 4])
         lines.append(
             f'<path d="{path}" fill="#9ecae1" fill-opacity="0.85" '
             f'stroke="black" stroke-width="{thin:.6g}"/>'

@@ -102,7 +102,11 @@ def _log_beta_front(z: float, alpha: float, beta: float) -> float:
 def reg_inc_beta(z: float, alpha: float, beta: float) -> float:
     """Regularized incomplete beta function I_z(alpha, beta).
 
-    Satisfies I_z(a, b) = 1 - I_{1-z}(b, a); absolute error <= 1e-13.
+    Satisfies I_z(a, b) = 1 - I_{1-z}(b, a).  Measured error: absolute
+    <= 1e-13 for shapes in (0.1, 60) (against scipy); relative <= 3e-11
+    for normal values at the cap shapes ((n+1)/2, 1/2) and (1/2, (n+1)/2),
+    2 <= n <= 10000 (against mpmath; 1.7e-11 near n = 3450, where
+    lgamma(alpha + beta) - lgamma(beta) cancels in the front factor).
     """
     if not (alpha > 0 and beta > 0):
         raise DomainError(f"shape parameters must be positive, got alpha={alpha!r}, beta={beta!r}")

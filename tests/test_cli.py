@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballavoid
-from ballavoid.cli import build_parser, main
+from ballavoid.cli import _emit, build_parser, main
 from ballavoid.concentration import C_STAR
 from ballavoid.construction import CANONICAL_OFFSET
 from ballavoid.volume import ratio_table
@@ -204,6 +206,26 @@ class TestVerify:
             math.log(ratio_table(2000, 2000)[0].scaled) - 2000 * math.log(2.0), rel=1e-15)
         assert abs(res["mc_log_ratio"] - res["analytic_log_ratio"]) < 1e-3
 
+    def test_log_interval_where_linear_half_width_underflows(self, capsys):
+        _, out = run_cli(capsys, ["verify", "--n", "2000", "--pairs", "10000",
+                                  "--samples", "10000", "--format", "json"])
+        res = json.loads(out)["results"]
+        assert res["mc_ci99_half_width"] == 0.0
+        lo, hi = res["mc_log_ci99_low"], res["mc_log_ci99_high"]
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert lo <= res["mc_log_ratio"] <= hi
+
+    def test_log_interval_matches_linear_half_width(self, capsys):
+        # The Wilson interval is not symmetric about the estimate; the
+        # linear half-width is its wider side.
+        _, out = run_cli(capsys, ["verify", "--n", "2", "--pairs", "10000",
+                                  "--samples", "10000", "--format", "json"])
+        res = json.loads(out)["results"]
+        below = res["mc_ratio"] - math.exp(res["mc_log_ci99_low"])
+        above = math.exp(res["mc_log_ci99_high"]) - res["mc_ratio"]
+        assert min(below, above) > 0.0
+        assert max(below, above) == pytest.approx(res["mc_ci99_half_width"], rel=1e-12)
+
     def test_numeric_failure_reports_acceptance_rate(self, capsys):
         code = main(["verify", "--n", "500", "--a", "0.99", "--pairs", "10000",
                      "--samples", "10000"])
@@ -372,8 +394,15 @@ class TestConcentrationCheck:
 
 class TestOutputFormats:
     # sha256 of the output when every format was built on each run; these
-    # outputs carry no digit of the table's recurrence.
+    # outputs carry no digit of the table's recurrence.  A figure entry
+    # names the file it writes (pure-Python math, no numpy rounding).
     FROZEN = {
+        ("figure", "svg"): "c336b69058a30f8840286595c739421b98cf78cd602b65a3b4123c65bc44f41b",
+        ("figure", "points.csv"): "cffb5553858d90017e8fb97baf67059971de5f46a7f70e8eab26d4e0912fc4c8",
+        ("figure --epsilon 0.01", "svg"):
+            "e768072f6df3f6212aa43d7414716fbf4050324e4e6a24281b754dbf6465b0fd",
+        ("figure --epsilon 0.01", "points.csv"):
+            "4e3667cf6fbca99a44d7167559bf6ab714f9c3f02950d250eb3eb21ac8939c1b",
         ("table --max-n 64", "text"): "531fb39c7ed2a7648d7d09028eee2a82cf5a6622c9c5dc9aaae2ccf37b1297ad",
         ("threshold", "text"): "0055482e5aec5456e378b4cd1c5e9f8a93ae152515868c5300b70ad5e4a6884b",
         ("concentration-check", "json"): "0f0dd433904825a21a42fe2a16418db59c2eb976206e6f3193392349c59c1f3f",
@@ -382,10 +411,15 @@ class TestOutputFormats:
     }
 
     @pytest.mark.parametrize("argv, fmt", sorted(FROZEN))
-    def test_bytes_unchanged(self, capsys, argv, fmt):
-        code, out = run_cli(capsys, [*argv.split(), "--format", fmt])
+    def test_bytes_unchanged(self, capsys, tmp_path, argv, fmt):
+        if argv.startswith("figure"):
+            code, _ = run_cli(capsys, [*argv.split(), "--out", str(tmp_path / "s2.svg")])
+            out = (tmp_path / f"s2.{fmt}").read_bytes()
+        else:
+            code, text = run_cli(capsys, [*argv.split(), "--format", fmt])
+            out = text.encode()
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.FROZEN[argv, fmt]
+        assert hashlib.sha256(out).hexdigest() == self.FROZEN[argv, fmt]
 
     @pytest.mark.parametrize("argv, key, max_n", [("table --max-n 64", "rows", 64),
                                                   ("threshold", "direct_checks", 14)])
@@ -399,6 +433,30 @@ class TestOutputFormats:
         _, out = run_cli(capsys, [*argv.split(), "--format", "csv"])
         assert out == "n,ratio,scaled,margin\n" + "".join(
             f"{r['n']},{r['ratio']!r},{r['scaled']!r},{r['margin']!r}\n" for r in rows)
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("argv, flags", [
+        ("ratio --n 2", ["n", "a", "method", "tol"]),
+        ("table --max-n 5", ["max_n", "a"]),
+        ("verify --n 2 --pairs 10000 --samples 10000", ["n", "a", "pairs", "samples", "seed"]),
+        ("optimize-a --n 2", ["n", "tol"]),
+        ("threshold", ["a", "c_min", "c_max"]),
+        ("concentration-check --n-max 4", ["n_max", "c_list"]),
+    ])
+    def test_inputs_are_the_flags_in_parser_order(self, capsys, argv, flags):
+        _, out = run_cli(capsys, [*argv.split(), "--format", "json"])
+        doc = json.loads(out)
+        assert doc["command"] == argv.split()[0]
+        assert list(doc["inputs"]) == flags
+
+    def test_csv_quoting_round_trips(self, capsys):
+        rows = [{"label": 'a,b', "quote": 'say "hi"', "lines": "one\ntwo", "x": 0.1},
+                {"label": "", "quote": '"', "lines": "\n", "x": 1e-300}]
+        args = argparse.Namespace(command="test", format="csv", out=None)
+        assert _emit(args, False, None, None, lambda: rows) == 1
+        read = list(csv.DictReader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert read == [{**row, "x": repr(row["x"])} for row in rows]
 
 
 class TestTolDefault:

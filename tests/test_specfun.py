@@ -11,12 +11,14 @@ from ballavoid.construction import chord_coordinate
 from ballavoid.errors import DomainError
 from ballavoid.specfun import (
     LogValue,
+    _ball_cap_fraction,
     _log_ball_cap_fraction,
     reg_inc_beta,
     slab_fraction,
     unit_ball_volume,
 )
-from ballavoid.volume import _log_scaled
+from ballavoid.volume import _log_scaled, vol_T_closed_form
+from test_volume import mpmath_log_vol_T
 
 
 class TestLogValue:
@@ -90,6 +92,44 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 1.0, -2.0)
+
+
+# Dimensions over the documented range, and cap ends t below 1/8 (where a
+# cap may take the complement route I_{t^2}(1/2, (n+1)/2)) and above it.
+# n = 3428 at t = 0.0249 is the largest cap error found.
+_CAP_NS = sorted({*np.geomspace(2, 10000, 25).round().astype(int).tolist(), 3428})
+_CAP_TS = (1e-3, 0.01, 0.0249, 0.05, 0.1, 0.2, 0.5, 0.9)
+
+
+class TestRegIncBetaMeasured:
+    def test_relative_error_at_cap_shapes(self):
+        # lgamma(alpha + beta) - lgamma(beta) cancels when one shape is 1/2
+        # and the other is 10^3-10^4: errors reach 1.7e-11, not 1e-13.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for n in _CAP_NS:
+            alpha = 0.5 * (n + 1)
+            for t in _CAP_TS:
+                for z, p, q in ((t * t, 0.5, alpha), ((1.0 - t) * (1.0 + t), alpha, 0.5)):
+                    exact = float(mpmath.betainc(p, q, 0, mpmath.mpf(z), regularized=True))
+                    if exact >= sys.float_info.min:
+                        assert reg_inc_beta(z, p, q) == pytest.approx(exact, rel=3e-11, abs=0), (n, t, p)
+
+    def test_closed_form_bound_covers_the_caps(self):
+        # Each t is the slab end 2(a - 1/2) of the closed form at a = 1/2 + t/2.
+        mpmath = pytest.importorskip("mpmath")
+        for n in _CAP_NS:
+            for t in _CAP_TS:
+                mpmath.mp.dps = 40
+                exact = float(mpmath.betainc((n + 1) / mpmath.mpf(2), 0.5, 0, 1 - mpmath.mpf(t) ** 2,
+                                             regularized=True) / 2)
+                if exact >= sys.float_info.min:
+                    assert _ball_cap_fraction(n, t) == pytest.approx(exact, rel=3e-11, abs=0), (n, t)
+                mpmath.mp.dps = 60
+                a = 0.5 + 0.5 * t
+                est = vol_T_closed_form(n, a)
+                err = abs(est.log_value.log_magnitude - float(mpmath_log_vol_T(n, a, mpmath)))
+                assert err <= est.error_bound, (n, t, err, est.error_bound)
 
 
 class TestSlabFraction:
