@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize_a(args) -> int:
-    argmax = maximize_a(args.n, args.tol)
+    argmax = maximize_a(args.n)
     canonical = CANONICAL_OFFSET
     diff = argmax - canonical
 
@@ -300,7 +300,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _dimension(text: str) -> int:
-    """--n: an integer in the documented range 2 <= n <= 10000."""
+    """A dimension flag: an integer in the documented range 2 <= n <= 10000."""
     try:
         n = int(text)
     except ValueError:
@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-a", help="certify the volume-maximizing offset")
     p.add_argument("--n", type=_dimension, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_optimize_a)
 
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_figure)
 
     p = sub.add_parser("concentration-check", help="validate the slab inequality on a grid")
-    p.add_argument("--n-max", type=int, default=50)
+    p.add_argument("--n-max", type=_dimension, default=50)
     p.add_argument("--c-list", type=_float_list, default="1,1.5,2,3")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_concentration_check)

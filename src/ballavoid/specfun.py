@@ -58,25 +58,18 @@ def _beta_continued_fraction(a: float, b: float, z: float) -> float:
     h = d
     for m in range(1, 500):
         m2 = 2 * m
-        aa = m * (b - m) * z / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * z / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and odd partial numerators, each through one Lentz step.
+        for aa in (m * (b - m) * z / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * z / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise NumericError(

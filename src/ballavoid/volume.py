@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construction import CANONICAL_OFFSET, chord_coordinate
+from .construction import CANONICAL_OFFSET, ConstructionParams, chord_coordinate
 from .errors import DomainError, NumericError
 from .specfun import LogValue, _log_ball_cap_fraction, _log_ball_cap_fractions, unit_ball_volume
 
@@ -75,60 +75,33 @@ class RatioRow(NamedTuple):
     log_error_bound: float
 
 
-def _check_params(n: int, a: float) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
-    if not 0.5 < a < 1.0:
-        raise DomainError(f"offset must lie in (1/2, 1), got {a!r}")
-
-
-def _gl_panel(f, lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-
 def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int = 4096):
-    """Integrate f on [lo, hi] by 15-point Gauss-Legendre panels with
-    recursive bisection on an absolute-plus-relative error criterion.
+    """Integrate f on [lo, hi] by 15-point Gauss-Legendre on 1, 2, 4, ...
+    equal panels, every node of a level in one call of f, until two
+    levels agree to tol relative.
 
-    Returns (value, error_estimate); raises NumericError (carrying the
-    best estimate and achieved error) if the panel budget is exhausted.
+    Returns (value, error_estimate), the estimate being the last
+    difference of levels; raises NumericError (carrying the best estimate
+    and achieved error) if the next level would exceed max_panels panels.
     """
     if hi <= lo:
         return 0.0, 0.0
-    whole = _gl_panel(f, lo, hi)
-    scale = max(abs(whole), 1e-300)
-    total = 0.0
-    err = 0.0
-    width = hi - lo
-    panels = 0
-    stack = [(lo, hi, whole)]
-    while stack:
-        a, b, coarse = stack.pop()
-        panels += 1
-        if panels > max_panels:
-            rest = coarse + sum(item[2] for item in stack)
-            best = total + rest
-            raise NumericError(
-                f"quadrature used more than {max_panels} panels without "
-                f"reaching tolerance {tol}",
-                best_estimate=best,
-                achieved_error=err + abs(rest),
-            )
-        m = 0.5 * (a + b)
-        left = _gl_panel(f, a, m)
-        right = _gl_panel(f, m, b)
-        fine = left + right
-        disc = abs(fine - coarse)
-        local_budget = (tol * scale + tol * abs(fine)) * ((b - a) / width)
-        if disc <= local_budget or (b - a) < 1e-15 * width:
-            total += fine
-            err += disc
-        else:
-            stack.append((a, m, left))
-            stack.append((m, b, right))
-    return total, err
+    value = err = math.inf
+    panels = 1
+    while panels <= max_panels:
+        width = (hi - lo) / panels
+        x = lo + width * (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_NODES))
+        fine = 0.5 * width * float((f(x) @ _GL_WEIGHTS).sum())
+        err = abs(fine - value)
+        if err <= tol * abs(fine):
+            return fine, err
+        value = fine
+        panels *= 2
+    raise NumericError(
+        f"quadrature used more than {max_panels} panels without reaching tolerance {tol}",
+        best_estimate=value,
+        achieved_error=err,
+    )
 
 
 def _log_cos_power(n: int, lo: float, hi: float, tol: float):
@@ -137,7 +110,7 @@ def _log_cos_power(n: int, lo: float, hi: float, tol: float):
     The integrand is (cos(p + d) / cos p)^n = exp(n log1p(-2 sin^2(d/2) - tan(p) sin d)),
     exactly 1 at the peak p (0 clipped to [lo, hi]).  log cos is concave with
     curvature <= -1, so it is below e^-60 where n (|tan p| |d| + d^2/2) >= 60;
-    cutting the interval there lets the first panel see the peak.
+    cutting the interval there lets the first level see the peak.
     """
     p = min(max(0.0, lo), hi)
     slope = math.tan(p)
@@ -153,11 +126,11 @@ def _log_cos_power(n: int, lo: float, hi: float, tol: float):
 def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET, tol: float = DEFAULT_TOL) -> VolumeEstimate:
     """vol T by adaptive quadrature of the two J integrals displayed above.
 
-    error_bound is the larger panel error of the two J, relative, plus
-    CLOSED_FORM_REL_ERROR * |log vol T| for rounding in log v_{n-1},
-    n log cos p and the sum, which the panels do not see.
+    error_bound is the larger last level difference of the two J, relative,
+    plus CLOSED_FORM_REL_ERROR * |log vol T| for rounding in log v_{n-1},
+    n log cos p and the sum, which the quadrature does not see.
     """
-    _check_params(n, a)
+    ConstructionParams(n, a)
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
     n = int(n)
@@ -193,7 +166,7 @@ def _closed_form(n: int, a: float) -> tuple[VolumeEstimate, float]:
     """vol_T_closed_form's estimate, and log(2^n vol T / v_n).  The latter is
     of order 1 at every n; formed without v_n and (1/2)^n, it does not round
     at the ulp of |log vol T| (7e-12 at n = 10000)."""
-    _check_params(n, a)
+    ConstructionParams(n, a)
     n = int(n)
     log_scaled = float(_log_scaled(n, a, lambda t: _log_ball_cap_fraction(n, t)))
     log_vol = unit_ball_volume(n).log_magnitude + n * LOG_HALF + log_scaled
@@ -247,33 +220,32 @@ def dvol_da(n: int, a: float = CANONICAL_OFFSET) -> float:
 
     with p = (n-1)/2; zero exactly at equidistance, for every n.
     """
-    _check_params(n, a)
+    ConstructionParams(n, a)
     log_vn1 = unit_ball_volume(int(n) - 1).log_magnitude
     t1, t2 = _log_boundary_terms(n, a)
     return math.exp(log_vn1 + t1) - math.exp(log_vn1 + t2)
 
 
-def maximize_a(n: int, tol: float = 1e-10) -> float:
-    """Bisection for the offset maximizing vol T, to a bracket of width tol.
+def maximize_a(n: int) -> float:
+    """Bisection for the offset maximizing vol T, until lo and hi are
+    adjacent doubles: the result is the argmax to the last bit or two.
 
     vol T rises in a where the first log boundary term of dvol_da exceeds
     the second and falls where it is below; that sign does not flatten in
     rounding near the maximum, as the volume itself does at large n.  The
     volume vanishes at both ends of (1/2, 1), so the maximum is interior.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
-    if not tol >= 1e-12:
-        raise DomainError(f"tol must be >= 1e-12, got {tol!r}")
+    ConstructionParams(n)
     lo, hi = 0.5, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.75
+    while lo < mid < hi:
         rising, falling = _log_boundary_terms(n, mid)
         if rising > falling:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> list[RatioRow]:
@@ -288,7 +260,7 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> list[Rat
         raise DomainError("dimension bounds must be integers")
     if not 2 <= n_min <= n_max <= 10000:
         raise DomainError(f"need 2 <= n_min <= n_max <= 10000, got [{n_min}, {n_max}]")
-    _check_params(n_min, a)
+    ConstructionParams(n_min, a)
     n_min, n_max = int(n_min), int(n_max)
     n = np.arange(n_min, n_max + 1)
     # lgamma(n/2 + 1) normalizes v_n; with its neighbour at n + 1 it gives

@@ -18,6 +18,8 @@ from ballavoid.sampling import (
     _chunk_rng,
     mc_volume_ratio,
     pair_audit,
+    sample_T,
+    sample_unit_ball,
 )
 from ballavoid.specfun import slab_fraction
 from ballavoid.volume import ratio_S
@@ -125,6 +127,34 @@ class TestSampleT:
         # still count, so the rate estimates the acceptance probability.
         _, rate = draw_T(ConstructionParams(n), rng_for(5), 1)
         assert rate == pytest.approx(expected, abs=0.04)
+
+
+class TestPublicSamplers:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_unit_ball_shape_and_norms(self, n):
+        x = sample_unit_ball(n, rng_for(10), 3000)
+        assert x.shape == (3000, n)
+        assert np.all(np.linalg.norm(x, axis=1) < 1.0)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_T_shape_and_membership(self, n):
+        p = ConstructionParams(n)
+        pts, _ = sample_T(p, rng_for(11), 3000)
+        assert pts.shape == (3000, n)
+        assert np.all(component(p, pts) == 1)
+
+    @pytest.mark.parametrize("count", [1, 3000, 70_000])
+    def test_T_matches_rejection_kernel(self, count):
+        p = ConstructionParams(3)
+        pts, rate = sample_T(p, rng_for(12), count)
+        ref, ref_rate = draw_T(p, rng_for(12), count)
+        assert pts.tobytes() == ref.tobytes()
+        assert rate == ref_rate
+
+    def test_T_empty_draw(self):
+        pts, rate = sample_T(ConstructionParams(4), rng_for(13), 0)
+        assert pts.shape == (0, 4)
+        assert rate == 0.0
 
 
 class TestMcVolumeRatio:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from ballavoid.construction import chord_coordinate
-from ballavoid.errors import DomainError
+from ballavoid.errors import DomainError, NumericError
 from ballavoid.specfun import (
     LogValue,
     _ball_cap_fraction,
@@ -82,6 +82,14 @@ class TestRegIncBeta:
         assert reg_inc_beta(z_c, a, b) == pytest.approx(
             1.0 - reg_inc_beta(w, b, a), abs=1e-12
         )
+
+    def test_continued_fraction_failure_reports_best_estimate(self):
+        # At z = 1/2 and shapes of 10^6 the fraction needs far more than its
+        # 499 Lentz pairs; the last convergent and factor are pinned.
+        with pytest.raises(NumericError, match="did not converge") as info:
+            reg_inc_beta(0.5, 1e6, 1e6)
+        assert info.value.best_estimate == pytest.approx(1772.4540724625763, rel=1e-9)
+        assert info.value.achieved_error == pytest.approx(8.17e-14, rel=1e-2)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -392,6 +392,12 @@ class TestMaximizer:
         # 1.4e-6 at n = 244, 0.053 at n = 1000 and 0.13 at n = 10000.
         assert maximize_a(n) == pytest.approx(CANONICAL_OFFSET, abs=1e-7)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 166, 1000, 10000])
+    def test_exact_to_the_last_bits(self, n):
+        # Bisection runs until lo and hi are adjacent doubles.  The float
+        # CANONICAL_OFFSET is itself about 1 ulp above (1 + sqrt 10)/6.
+        assert abs(maximize_a(n) - CANONICAL_OFFSET) <= 2 * math.ulp(CANONICAL_OFFSET)
+
     def test_argmax_invariant_across_dimensions(self):
         values = [maximize_a(n) for n in (2, 5, 12)]
         assert max(values) - min(values) <= 1e-7
@@ -399,8 +405,6 @@ class TestMaximizer:
     def test_preconditions(self):
         with pytest.raises(DomainError):
             maximize_a(1)
-        with pytest.raises(DomainError):
-            maximize_a(3, tol=1e-13)
 
 
 class TestAdaptiveQuadrature:
@@ -410,6 +414,18 @@ class TestAdaptiveQuadrature:
 
     def test_empty_interval(self):
         assert adaptive_gauss_legendre(np.sin, 1.0, 1.0, 1e-12) == (0.0, 0.0)
+
+    def test_one_call_of_f_per_level(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x * x)
+
+        val, err = adaptive_gauss_legendre(f, -6.0, 6.0, 1e-12)
+        assert sizes == [15 * 2**k for k in range(len(sizes))]
+        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        assert err <= 1e-12 * val
 
     def test_budget_exhaustion_reports_best_estimate(self):
         f = lambda x: np.sin(1000.0 * x)
