@@ -29,7 +29,7 @@ from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
 from .sampling import _Z99, SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
-from .volume import DEFAULT_TOL, maximize_a, ratio_S, ratio_table, vol_T_closed_form
+from .volume import MAX_DIMENSION, maximize_a, ratio_S, ratio_table, vol_T_closed_form
 
 # Step from the argmax at which optimize-a checks, without the derivative,
 # that the closed-form log volume is not higher on either side.  The drop
@@ -102,7 +102,7 @@ def _kv_lines(pairs: list[tuple[str, object]]) -> list[str]:
 
 
 def cmd_ratio(args) -> int:
-    row = ratio_S(args.n, args.a, args.method, args.tol)
+    row = ratio_S(args.n, args.a, args.method)
     ok = row.margin > 0
     results = {"ratio": row.ratio, "scaled": row.scaled, "margin": row.margin,
                "log_ratio": _log_ratio(row), "log_error_bound": row.log_error_bound}
@@ -194,13 +194,16 @@ def cmd_optimize_a(args) -> int:
 def cmd_threshold(args) -> int:
     c_lo, c_hi = certifying_constants(args.a, args.c_min, args.c_max)
     best = minimal_certified_n(c_hi, args.a)
-    direct = ratio_table(2, best.n_min - 1, args.a) if best.n_min > 2 else []
+    if best.n_min - 1 > MAX_DIMENSION:
+        raise DomainError(f"at offset a={args.a!r}, c={best.c:.10g} certifies only n >= {best.n_min}; "
+                          f"direct checks up to n={best.n_min - 1} exceed {MAX_DIMENSION}")
+    direct = ratio_table(2, best.n_min - 1, args.a)
     ok = best.n_min <= 15 and all(r.margin > 0 for r in direct)
     results = {
         "c": best.c,
         "n_min": best.n_min,
         "bound_factor": best.bound_factor,
-        "width_ok_from": best.width_ok_from,
+        "width_ok_from": best.n_min,
         "certifying_c_min": c_lo,
         "certifying_c_max": c_hi,
     }
@@ -212,15 +215,12 @@ def cmd_threshold(args) -> int:
                     for r in direct)
         return text
 
-    def csv_rows():
-        return _row_dicts(direct) or [{**results, "direct_checks": []}]
-
     return _emit(args, ok, lambda: {**results, "direct_checks": _row_dicts(direct)}, text_lines,
-                 csv_rows)
+                 lambda: _row_dicts(direct))
 
 
 def cmd_figure(args) -> int:
-    spec = build_figure_spec(ConstructionParams(2, args.a), args.scale, args.epsilon)
+    spec = build_figure_spec(ConstructionParams(2, args.a), args.epsilon)
     csv_path = os.path.splitext(args.out)[0] + ".points.csv"
     rc = _write_out(render_svg(spec), args.out) or _write_out(junction_csv(spec), csv_path)
     if rc:
@@ -300,13 +300,13 @@ def _float_list(text: str) -> list[float]:
 
 
 def _dimension(text: str) -> int:
-    """A dimension flag: an integer in the documented range 2 <= n <= 10000."""
+    """A dimension flag: an integer in the documented range 2 <= n <= MAX_DIMENSION."""
     try:
         n = int(text)
     except ValueError:
         n = 0
-    if not 2 <= n <= 10000:
-        raise argparse.ArgumentTypeError(f"expected an integer in [2, 10000], got {text!r}")
+    if not 2 <= n <= MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(f"expected an integer in [2, {MAX_DIMENSION}], got {text!r}")
     return n
 
 
@@ -326,12 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--a", type=float, default=CANONICAL_OFFSET)
     p.add_argument("--method", choices=["closed_form", "quadrature"], default="closed_form")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_ratio)
 
     p = sub.add_parser("table", help="per-dimension ratio table with margins")
-    p.add_argument("--max-n", type=int, default=64)
+    p.add_argument("--max-n", type=_dimension, default=64)
     p.add_argument("--a", type=float, default=CANONICAL_OFFSET)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_table)
@@ -360,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="SVG of S_2 plus junction-point CSV")
     p.add_argument("--out", default="s2.svg")
     p.add_argument("--a", type=float, default=CANONICAL_OFFSET)
-    p.add_argument("--scale", type=float, default=256.0)
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="draw the closed inner approximation tightened by this much")
     p.set_defaults(handler=cmd_figure)

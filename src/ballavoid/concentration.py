@@ -32,7 +32,6 @@ class ConcentrationCertificate:
     c: float
     n_min: int
     bound_factor: float
-    width_ok_from: int
 
 
 #: Every certifying constant exceeds this one: the c with bound factor
@@ -91,7 +90,7 @@ def minimal_certified_n(c: float, a: float = CANONICAL_OFFSET) -> ConcentrationC
     if not bound_factor > 1.0:
         raise CertificateError(f"c={c} gives bound factor {bound_factor:.6f} <= 1: no certificate")
     n_min = _width_ok_from(c, a)  # at least 3 already
-    return ConcentrationCertificate(c=c, n_min=n_min, bound_factor=bound_factor, width_ok_from=n_min)
+    return ConcentrationCertificate(c=c, n_min=n_min, bound_factor=bound_factor)
 
 
 def certifying_constants(

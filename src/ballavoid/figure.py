@@ -20,32 +20,28 @@ from .errors import DomainError
 
 # Side of the square canvas, in model units (the unit disk plus a margin).
 _CANVAS = 2.2
+_SCALE = 256.0  # pixels per model unit
 
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Radii and junction points of both components of S_2 plus canvas
-    styling.  junctions holds four (label, x, y) per component, in the
-    order its boundary passes them, positive component first."""
+    """Radii and junction points of both components of S_2.  junctions
+    holds four (label, x, y) per component, in the order its boundary
+    passes them, positive component first."""
 
     small_radius: float
     outer_radius: float
     offset: float
     segment_half_width: float
     chord_half_width: float
-    scale: float = 256.0
     junctions: list[tuple[str, float, float]] = field(default_factory=list)
 
 
-def build_figure_spec(
-    params: ConstructionParams, scale: float = 256.0, epsilon: float = 0.0
-) -> FigureSpec:
+def build_figure_spec(params: ConstructionParams, epsilon: float = 0.0) -> FigureSpec:
     """Figure geometry for S_2, optionally for the closed inner
     approximation with every inequality tightened by epsilon."""
     if params.n != 2:
         raise DomainError(f"the figure is planar; got dimension {params.n}")
-    if not (scale > 0.0 and math.isfinite(_CANVAS * scale)):
-        raise DomainError(f"scale must be positive with a finite canvas, got {scale!r}")
     t, r, outer = _tightened(params, epsilon)
     a = params.a
     # Chord plane of the circles |x| = outer and |x - a e_1| = r.
@@ -69,7 +65,6 @@ def build_figure_spec(
         offset=a,
         segment_half_width=w_seg,
         chord_half_width=w_chord,
-        scale=scale,
         junctions=junctions,
     )
 
@@ -89,7 +84,7 @@ def _component_path(spec: FigureSpec, junctions) -> str:
 
 def render_svg(spec: FigureSpec) -> str:
     """Standalone SVG for the figure described by `spec`."""
-    s = spec.scale
+    s = _SCALE
     size = math.ceil(_CANVAS * s)
     half = size / 2
     thin = 1.5 / s

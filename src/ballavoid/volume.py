@@ -33,7 +33,12 @@ LOG_PI = math.log(math.pi)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
-DEFAULT_TOL = 1e-12
+# The quadrature route's one relative tolerance.  A looser one saves little
+# time, and a tighter one no accuracy: from n ~ 500 up the rounding floor
+# CLOSED_FORM_REL_ERROR * |log vol T| sets error_bound.
+_QUADRATURE_TOL = 1e-12
+
+MAX_DIMENSION = 10000  # the documented range is 2 <= n <= MAX_DIMENSION
 
 # Bound on |error of log vol T| / |log vol T| for vol_T_closed_form, which
 # it reports as error_bound.  Against a 60-digit mpmath oracle the largest
@@ -104,7 +109,7 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int
     )
 
 
-def _log_cos_power(n: int, lo: float, hi: float, tol: float):
+def _log_cos_power(n: int, lo: float, hi: float):
     """(log J, relative error) for J = int_lo^hi cos^n, -pi/2 <= lo < hi <= pi/2.
 
     The integrand is (cos(p + d) / cos p)^n = exp(n log1p(-2 sin^2(d/2) - tan(p) sin d)),
@@ -119,11 +124,11 @@ def _log_cos_power(n: int, lo: float, hi: float, tol: float):
     def g(d):
         return np.exp(n * np.log1p(-2.0 * np.sin(0.5 * d) ** 2 - slope * np.sin(d)))
 
-    value, err = adaptive_gauss_legendre(g, max(lo - p, -reach), min(hi - p, reach), tol)
+    value, err = adaptive_gauss_legendre(g, max(lo - p, -reach), min(hi - p, reach), _QUADRATURE_TOL)
     return n * math.log(math.cos(p)) + math.log(value), err / value
 
 
-def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET, tol: float = DEFAULT_TOL) -> VolumeEstimate:
+def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     """vol T by adaptive quadrature of the two J integrals displayed above.
 
     error_bound is the larger last level difference of the two J, relative,
@@ -131,12 +136,10 @@ def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET, tol: float = DEFAULT_T
     n log cos p and the sum, which the quadrature does not see.
     """
     ConstructionParams(n, a)
-    if not 1e-14 <= tol <= 1e-6:
-        raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
     n = int(n)
     c = chord_coordinate(a)
-    log_slab, rel_slab = _log_cos_power(n, -math.asin(2.0 * a - 1.0), math.asin(2.0 * (c - a)), tol)
-    log_cap, rel_cap = _log_cos_power(n, math.asin(c), 0.5 * math.pi, tol)
+    log_slab, rel_slab = _log_cos_power(n, -math.asin(2.0 * a - 1.0), math.asin(2.0 * (c - a)))
+    log_cap, rel_cap = _log_cos_power(n, math.asin(c), 0.5 * math.pi)
     log_vn1 = unit_ball_volume(n - 1).log_magnitude
     log_vol = log_vn1 + float(np.logaddexp(n * LOG_HALF + log_slab, log_cap))
     error = max(rel_slab, rel_cap) + CLOSED_FORM_REL_ERROR * abs(log_vol)
@@ -185,14 +188,12 @@ def vol_T_closed_form(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     return _closed_form(n, a)[0]
 
 
-def ratio_S(
-    n: int, a: float = CANONICAL_OFFSET, method: str = "closed_form", tol: float = DEFAULT_TOL
-) -> RatioRow:
+def ratio_S(n: int, a: float = CANONICAL_OFFSET, method: str = "closed_form") -> RatioRow:
     """vol S / vol B and its 2^n-scaled form, computed in log domain."""
     if method == "closed_form":
         est, log_scaled = _closed_form(n, a)
     elif method == "quadrature":
-        est = vol_T_quadrature(n, a, tol)
+        est = vol_T_quadrature(n, a)
         log_scaled = est.log_value.log_magnitude - unit_ball_volume(int(n)).log_magnitude + n * LOG_TWO
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -258,8 +259,8 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> list[Rat
     """
     if not (isinstance(n_min, (int, np.integer)) and isinstance(n_max, (int, np.integer))):
         raise DomainError("dimension bounds must be integers")
-    if not 2 <= n_min <= n_max <= 10000:
-        raise DomainError(f"need 2 <= n_min <= n_max <= 10000, got [{n_min}, {n_max}]")
+    if not 2 <= n_min <= n_max <= MAX_DIMENSION:
+        raise DomainError(f"need 2 <= n_min <= n_max <= {MAX_DIMENSION}, got [{n_min}, {n_max}]")
     ConstructionParams(n_min, a)
     n_min, n_max = int(n_min), int(n_max)
     n = np.arange(n_min, n_max + 1)

