@@ -4,9 +4,10 @@ Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
 2 = usage or I/O error; main() maps the library's errors to them.  Every
 handler but figure and check-all passes its verdict and result builders
 to _emit, the one writer of a document.  JSON always carries the keys
-{"command", "inputs", "results", "pass"}, inputs being the parsed flags;
-text prints numbers with 10 significant digits; CSV (stdlib csv) is
-header-first with floats written by repr.
+{"command", "inputs", "results", "pass"}, inputs being the parsed flags,
+in the bytes json.dumps(doc, indent=2) writes; text prints numbers with
+10 significant digits; CSV (stdlib csv) is header-first with floats
+written by repr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 
-from .concentration import certifying_constants, concentration_bound, minimal_certified_n
+from .concentration import _width_ok_from, certifying_constants, concentration_bound, minimal_certified_n
 from .construction import (
     CANONICAL_OFFSET,
     ConstructionParams,
@@ -29,7 +30,7 @@ from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
 from .sampling import _Z99, SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
-from .volume import MAX_DIMENSION, maximize_a, ratio_S, ratio_table, vol_T_closed_form
+from .volume import MAX_DIMENSION, RatioRow, maximize_a, ratio_S, ratio_table, vol_T_closed_form
 
 # Step from the argmax at which optimize-a checks, without the derivative,
 # that the closed-form log volume is not higher on either side.  The drop
@@ -63,15 +64,42 @@ def _write_out(payload: str, out: str | None) -> int:
 _NOT_INPUTS = ("command", "format", "out", "handler")
 
 
+# One RatioRow as json.dumps(doc, indent=2) writes it in a list that is a
+# value of doc["results"].  The rows of ratio_table hold Python ints and
+# floats, whose %d and %r are what json.dumps writes for finite values.
+_ROW_JSON = ('      {\n        "n": %d,\n        "ratio": %r,\n'
+             '        "scaled": %r,\n        "margin": %r\n      }')
+
+
+def _rows_json(rows: list[RatioRow]) -> str:
+    """The list of RatioRows as json.dumps(doc, indent=2) writes it as a
+    value of doc["results"], about five times faster: the pure-Python
+    encoder that indent selects makes ~17 strings per row.  No key and no
+    finite float's repr contains "nan" or "inf", so the two replaces turn
+    exactly the non-finite values into json.dumps' NaN and (-)Infinity."""
+    body = ",\n".join([_ROW_JSON % row[:4] for row in rows])
+    return "[\n" + body.replace("nan", "NaN").replace("inf", "Infinity") + "\n    ]"
+
+
 def _emit(args, ok: bool, results, text_lines, csv_rows) -> int:
     """Write the payload args.format asks for to args.out and return the
     exit code: 2 if it cannot be written, else 0 if ok, else 1.  results,
     text_lines and csv_rows are builders taking no argument; only what
-    that format needs is called."""
+    that format needs is called.  A results value that is a list of
+    RatioRows is written as a list of {"n", "ratio", "scaled", "margin"}."""
     if args.format == "json":
         inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
-        doc = {"command": args.command, "inputs": inputs, "results": results(), "pass": ok}
+        results = results()
+        tables = {key: value for key, value in results.items()
+                  if isinstance(value, list) and value and isinstance(value[0], RatioRow)}
+        # Each table goes in as a placeholder string that no flag or result
+        # holds (it starts with NUL); its JSON spelling is then replaced by
+        # the table's rows.
+        slots = {key: f"\0{key}" for key in tables}
+        doc = {"command": args.command, "inputs": inputs, "results": {**results, **slots}, "pass": ok}
         payload = json.dumps(doc, indent=2) + "\n"
+        for key, rows in tables.items():
+            payload = payload.replace(json.dumps(slots[key]), _rows_json(rows), 1)
     elif args.format == "csv":
         rows = csv_rows()
         buf = io.StringIO()
@@ -122,7 +150,7 @@ def cmd_table(args) -> int:
         text.extend(f"{r.n:>5}  {r.ratio:>16.10g}  {r.scaled:>16.10g}  {r.margin:>16.10g}" for r in rows)
         return text
 
-    return _emit(args, ok, lambda: {"rows": _row_dicts(rows)}, text_lines, lambda: _row_dicts(rows))
+    return _emit(args, ok, lambda: {"rows": rows}, text_lines, lambda: _row_dicts(rows))
 
 
 def cmd_verify(args) -> int:
@@ -193,10 +221,13 @@ def cmd_optimize_a(args) -> int:
 
 def cmd_threshold(args) -> int:
     c_lo, c_hi = certifying_constants(args.a, args.c_min, args.c_max)
+    # Checked before the certificate: within ~1e-12 of a = 1/2, n_min is
+    # 1e23 or more and c_hi rounds down to C_STAR, whose bound factor is 1.
+    n_min = _width_ok_from(c_hi, args.a)
+    if n_min - 1 > MAX_DIMENSION:
+        raise DomainError(f"at offset a={args.a!r}, c={c_hi:.10g} certifies only n >= {n_min}; "
+                          f"direct checks up to n={n_min - 1} exceed {MAX_DIMENSION}")
     best = minimal_certified_n(c_hi, args.a)
-    if best.n_min - 1 > MAX_DIMENSION:
-        raise DomainError(f"at offset a={args.a!r}, c={best.c:.10g} certifies only n >= {best.n_min}; "
-                          f"direct checks up to n={best.n_min - 1} exceed {MAX_DIMENSION}")
     direct = ratio_table(2, best.n_min - 1, args.a)
     ok = best.n_min <= 15 and all(r.margin > 0 for r in direct)
     results = {
@@ -215,7 +246,7 @@ def cmd_threshold(args) -> int:
                     for r in direct)
         return text
 
-    return _emit(args, ok, lambda: {**results, "direct_checks": _row_dicts(direct)}, text_lines,
+    return _emit(args, ok, lambda: {**results, "direct_checks": direct}, text_lines,
                  lambda: _row_dicts(direct))
 
 

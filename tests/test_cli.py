@@ -18,7 +18,7 @@ import ballavoid
 from ballavoid.cli import _emit, build_parser, main
 from ballavoid.concentration import C_STAR
 from ballavoid.construction import CANONICAL_OFFSET
-from ballavoid.volume import ratio_table
+from ballavoid.volume import RatioRow, ratio_table
 
 
 def run_cli(capsys, argv):
@@ -347,6 +347,17 @@ class TestThreshold:
             "ballavoid: error: at offset a=0.505, c=1.432899159 certifies only n >= 20533; "
             "direct checks up to n=20532 exceed 10000"]
 
+    @pytest.mark.parametrize("a", ["0.5000000000000001", "0.500000000001", "0.5000001"])
+    def test_offset_near_half_is_usage_error(self, capsys, a):
+        # The two closest offsets exited 1 with "no certificate": c_hi
+        # rounded to C_STAR before the range was checked.
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--a", a])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ballavoid: error: at offset a={a}, c=1.432896618 certifies only n >= ")
+        assert err.endswith(" exceed 10000\n")
+
     def test_constant_beyond_float_range_is_usage_error(self, capsys):
         # (c / (2a - 1))^2 overflowed and raised OverflowError.
         code, _ = run_cli(capsys, ["threshold", "--c-min", "1e200", "--c-max", "1e200"])
@@ -452,7 +463,11 @@ class TestOutputFormats:
         ("figure --epsilon 0.01", "points.csv"):
             "4e3667cf6fbca99a44d7167559bf6ab714f9c3f02950d250eb3eb21ac8939c1b",
         ("table --max-n 64", "text"): "531fb39c7ed2a7648d7d09028eee2a82cf5a6622c9c5dc9aaae2ccf37b1297ad",
+        ("table --max-n 64", "json"): "4503b70bd4100775a34f5840dae4459abbe3619a0c2c21df40bd301f437d9963",
+        # Subnormal ratios at n = 1023..1075 and 0.0 from n = 1076.
+        ("table --max-n 10000", "json"): "87d688822af0bb269a5e903faf666b7f4d07bddb57f9400a93a45bf3dd2159b6",
         ("threshold", "text"): "0055482e5aec5456e378b4cd1c5e9f8a93ae152515868c5300b70ad5e4a6884b",
+        ("threshold", "json"): "ebed2ba6b36ba828ef633ae7bda5beeb420df89deb7d026fd2e119cdaf31ba28",
         ("concentration-check", "json"): "0f0dd433904825a21a42fe2a16418db59c2eb976206e6f3193392349c59c1f3f",
         ("concentration-check", "csv"): "5b891a01f2c4d3f7c66408043c69e84053f3783409273b4e4ac6368c3483788f",
         ("concentration-check", "text"): "3ab25ddf413b17b58ca72eafbb67cc519b0e5d2ba920570e7071c33cd623d3d3",
@@ -481,6 +496,24 @@ class TestOutputFormats:
         _, out = run_cli(capsys, [*argv.split(), "--format", "csv"])
         assert out == "n,ratio,scaled,margin\n" + "".join(
             f"{r['n']},{r['ratio']!r},{r['scaled']!r},{r['margin']!r}\n" for r in rows)
+
+    @pytest.mark.parametrize("a", ["0.501", repr(CANONICAL_OFFSET), "0.9", "0.99"])
+    @pytest.mark.parametrize("max_n", ["2", "3", "1100", "10000"])
+    def test_table_json_is_json_dumps_indent_2(self, capsys, max_n, a):
+        _, out = run_cli(capsys, ["table", "--max-n", max_n, "--a", a, "--format", "json"])
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_non_finite_and_extreme_rows(self, capsys):
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                  1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1e16, 1e-7]
+        rows = [RatioRow(n, x, y, z, 0.0)
+                for n, (x, y, z) in enumerate(zip(values, values[1:] + values[:1], values[2:] + values[:2]))]
+        args = argparse.Namespace(command="test", format="json", out=None)
+        results = {"c": 1.5, "rows": rows, "after": ["nan", "inf"]}
+        assert _emit(args, True, lambda: results, None, None) == 0
+        dicts = [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin} for r in rows]
+        doc = {"command": "test", "inputs": {}, "results": {**results, "rows": dicts}, "pass": True}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestEnvelope:
