@@ -20,7 +20,7 @@ import math
 import os
 import sys
 
-from .concentration import _width_ok_from, certifying_constants, concentration_bound, minimal_certified_n
+from .concentration import certifying_constants, concentration_bound, minimal_certified_n
 from .construction import (
     CANONICAL_OFFSET,
     ConstructionParams,
@@ -220,15 +220,16 @@ def cmd_optimize_a(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    c_lo, c_hi = certifying_constants(args.a, args.c_min, args.c_max)
+    c_lo, c_hi, n_min = certifying_constants(args.a, args.c_min, args.c_max)
     # Checked before the certificate: within ~1e-12 of a = 1/2, n_min is
     # 1e23 or more and c_hi rounds down to C_STAR, whose bound factor is 1.
-    n_min = _width_ok_from(c_hi, args.a)
     if n_min - 1 > MAX_DIMENSION:
         raise DomainError(f"at offset a={args.a!r}, c={c_hi:.10g} certifies only n >= {n_min}; "
                           f"direct checks up to n={n_min - 1} exceed {MAX_DIMENSION}")
+    # Worked out again from the rounded c_hi, n_min can come out one
+    # higher, but only near a = 1/2, where the check above has failed.
     best = minimal_certified_n(c_hi, args.a)
-    direct = ratio_table(2, best.n_min - 1, args.a)
+    direct = ratio_table(2, n_min - 1, args.a)
     ok = best.n_min <= 15 and all(r.margin > 0 for r in direct)
     results = {
         "c": best.c,

@@ -95,11 +95,12 @@ def minimal_certified_n(c: float, a: float = CANONICAL_OFFSET) -> ConcentrationC
 
 def certifying_constants(
     a: float = CANONICAL_OFFSET, c_min: float = 1.0, c_max: float = 3.0
-) -> tuple[float, float]:
-    """The constants in [c_min, c_max] that certify the smallest n_min, as
-    the interval (c_lo, c_hi], closed at c_lo if c_lo = c_min > C_STAR.  The
-    bound factor grows with c and the slab needs c <= (2a - 1) sqrt(n - 1),
-    so c_lo = max(c_min, C_STAR) and c_hi = min(c_max, (2a - 1) sqrt(n_min - 1)).
+) -> tuple[float, float, int]:
+    """The constants in [c_min, c_max] that certify the smallest dimension
+    n_min, as the interval (c_lo, c_hi], closed at c_lo if c_lo = c_min >
+    C_STAR, and n_min itself.  The bound factor grows with c and the slab
+    needs c <= (2a - 1) sqrt(n - 1), so c_lo = max(c_min, C_STAR) and
+    c_hi = min(c_max, (2a - 1) sqrt(n_min - 1)).
     """
     if not 1.0 <= c_min <= c_max:
         raise DomainError(f"need 1 <= c_min <= c_max, got [{c_min}, {c_max}]")
@@ -107,7 +108,7 @@ def certifying_constants(
         raise CertificateError(f"no certifying constant in [{c_min}, {c_max}]")
     c_lo = max(c_min, C_STAR)
     n_min = _width_ok_from(c_lo, a, strict=c_lo == C_STAR)
-    return c_lo, min(c_max, (2.0 * a - 1.0) * math.sqrt(n_min - 1.0))
+    return c_lo, min(c_max, (2.0 * a - 1.0) * math.sqrt(n_min - 1.0)), n_min
 
 
 def best_certificate(

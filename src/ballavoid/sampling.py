@@ -8,6 +8,8 @@ rows and fold each chunk into running totals, so memory stays bounded at
 every pair count and dimension.  Chunk i draws from its own generator,
 seeded by the i-th child of ``SeedSequence(seed, spawn_key=(stream,))``,
 so the audit (stream 0) and the volume estimate (stream 1) share no bits.
+The audit checks each pair x, y of points of T it draws both ways:
+|x - y| within a component of S = T u -T and |x + y| across.
 
 Chunks run on W = min(usable CPUs, chunks) threads: worker k takes chunks
 k, k + W, k + 2W, ... and reuses one set of buffers for all of them, so
@@ -65,10 +67,11 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Aggregate of a pair audit; violations must be zero for the theorem
-    to stand (a drawn point outside S, a same-component pair at distance
-    >= 1 or a cross pair at distance <= 1 counts as a violation, never
-    dropped)."""
+    """Aggregate of a pair audit of `pairs_tested` pairs x, y of points of
+    T, each checked both ways: as the same-component pair at |x - y| and
+    as the cross pair at |x + y|.  Violations must be zero for the theorem
+    to stand (a drawn point outside T, a same-component distance >= 1 or
+    a cross distance <= 1 counts as a violation, never dropped)."""
 
     pairs_tested: int
     violations: int
@@ -76,8 +79,9 @@ class AuditReport:
     max_same_distance: float
     seed: int
     # Full-precision witnesses (x, y, tag, distance) for any violations,
-    # capped at 10; empty on every healthy run.  An "outside" witness is a
-    # drawn point not in S: y is empty and distance is |x|.
+    # capped at 10; empty on every healthy run.  A cross witness is
+    # (x, -y).  An "outside" witness is a drawn point not in T: y is empty
+    # and distance is |x|.
     violating_pairs: tuple = ()
 
 
@@ -131,7 +135,7 @@ def _chunk_rng(seed: int, stream: int, i: int) -> np.random.Generator:
 class _Buffers:
     """One worker's buffers, reused for every chunk it runs: proposal
     blocks of up to `rows` points of dimension n and, for the audit, the
-    pairing of their accepted points (up to `rows` pairs per chunk)."""
+    accepted points of one block and the one carried from the last."""
 
     def __init__(self, rows: int, n: int, audit: bool = False):
         self.points = np.empty((rows, n))
@@ -140,14 +144,7 @@ class _Buffers:
         self.keep = np.empty(rows, dtype=bool)
         self.test = np.empty(rows, dtype=bool)
         if audit:
-            half = rows // 2 + 1  # pairs completed by one block and a carried point
             self.accepted = np.empty((rows + 1, n))
-            self.diff = np.empty((half, n))
-            self.dist_sq = np.empty(half)
-            self.positive = np.empty(2 * rows, dtype=bool)
-            self.same = np.empty(rows, dtype=bool)
-            self.cross = np.empty(rows, dtype=bool)
-            self.flip = np.empty(rows)
 
 
 def _fill_ball(rng: np.random.Generator, g: np.ndarray, u: np.ndarray, sq: np.ndarray,
@@ -307,28 +304,23 @@ def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
 
 def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generator,
                  s: _Buffers) -> tuple[int, float, float, list]:
-    """Audit `pairs` pairs of points of S; return (violations, smallest
-    cross and largest same squared distance, first witnesses).
+    """Audit `pairs` pairs x, y of points of T, each both ways; return
+    (violations, smallest cross and largest same squared distance, first
+    witnesses).
 
-    Each point lies in T or -T with probability 1/2.  Accepted points are
-    copied out of each proposal block and tested against T again, so a
-    row the sampler mislabels or misindexes is a violation.  They are
-    paired as each block yields them, an odd one carried to the next
-    block, and |x -+ y|^2 is taken from the points of T: negation is
-    exact, so it equals the squared distance of the signed points."""
-    positive = s.positive[: 2 * pairs]
-    for half in (positive[:pairs], positive[pairs:]):
-        np.less(rng.random(out=s.u[:pairs]), 0.5, out=half)
-    same = np.equal(positive[0::2], positive[1::2], out=s.same[:pairs])
-    cross = np.logical_not(same, out=s.cross[:pairs])
-    flip = np.multiply(same, 2.0, out=s.flip[:pairs])  # y's sign relative to x's
-    flip -= 1.0
+    The same-component pairs (x, y) and (-x, -y) of S lie at |x - y|, the
+    cross pairs (x, -y) and (-x, y) at |x + y|; negation is exact.
+    Accepted points are copied out of each proposal block and tested
+    against T again, so a row the sampler mislabels or misindexes is a
+    violation.  They are paired as each block yields them, an odd one
+    carried to the next block.  Per block, the witnesses are the points
+    outside T, then the same and then the cross pairs in violation."""
     violations = 0
     min_cross_sq = math.inf
     max_same_sq = 0.0
     witnesses = []
     accepted = s.accepted
-    carried = done = 0
+    carried = 0
     for idx, _ in _T_blocks(params, rng, 2 * pairs, s):
         end = carried + idx.size
         fresh, m = accepted[carried:end], idx.size
@@ -339,41 +331,35 @@ def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generato
             outside = np.flatnonzero(~inside)
             violations += outside.size
             for i in outside[: _MAX_WITNESSES - len(witnesses)]:
-                sign = 1.0 if positive[2 * done + carried + i] else -1.0
-                witnesses.append((tuple(float(v) for v in sign * fresh[i]), (), "outside",
+                witnesses.append((tuple(float(v) for v in fresh[i]), (), "outside",
                                   math.sqrt(s.sq[i])))
+        # The block's own buffers are free once its points are copied out,
+        # and hold the k <= (rows + 1) // 2 pairs it completes.
         k = end // 2
         x, y = accepted[0 : 2 * k : 2], accepted[1 : 2 * k : 2]
-        diff = np.einsum("ij,i->ij", y, flip[done : done + k], out=s.diff[:k])
-        np.subtract(x, diff, out=diff)
-        sq = _sq_norms(diff, s.dist_sq[:k])
-        same_k, cross_k = same[done : done + k], cross[done : done + k]
-        lo = float(np.min(sq, where=cross_k, initial=math.inf))
-        hi = float(np.max(sq, where=same_k, initial=0.0))
-        min_cross_sq = min(min_cross_sq, lo)
-        max_same_sq = max(max_same_sq, hi)
-        if math.sqrt(lo) <= 1.0 or math.sqrt(hi) >= 1.0:
-            dist = np.sqrt(sq)
-            bad = (same_k & (dist >= 1.0)) | (cross_k & (dist <= 1.0))
-            violations += int(np.count_nonzero(bad))
-            for i in np.flatnonzero(bad)[: _MAX_WITNESSES - len(witnesses)]:
-                sx, sy = (1.0 if positive[2 * (done + i) + j] else -1.0 for j in (0, 1))
-                witnesses.append((
-                    tuple(float(v) for v in sx * x[i]),
-                    tuple(float(v) for v in sy * y[i]),
-                    "same_component" if same_k[i] else "cross_component",
-                    float(dist[i]),
-                ))
+        same = _sq_norms(np.subtract(x, y, out=s.points[:k]), s.sq[:k])
+        cross = _sq_norms(np.add(x, y, out=s.points[:k]), s.u[:k])
+        hi, lo = float(same.max(initial=0.0)), float(cross.min(initial=math.inf))
+        max_same_sq, min_cross_sq = max(max_same_sq, hi), min(min_cross_sq, lo)
+        if math.sqrt(hi) >= 1.0 or math.sqrt(lo) <= 1.0:
+            same, cross = np.sqrt(same), np.sqrt(cross)
+            for tag, dist, bad, seen_y in (("same_component", same, same >= 1.0, y),
+                                           ("cross_component", cross, cross <= 1.0, -y)):
+                bad = np.flatnonzero(bad)
+                violations += bad.size
+                for i in bad[: _MAX_WITNESSES - len(witnesses)]:
+                    witnesses.append((tuple(float(v) for v in x[i]),
+                                      tuple(float(v) for v in seen_y[i]), tag, float(dist[i])))
         carried = end % 2
         if carried:
             accepted[0] = accepted[end - 1]
-        done += k
     return violations, min_cross_sq, max_same_sq, witnesses
 
 
 def pair_audit(config: SamplerConfig) -> AuditReport:
-    """Draw pairs of points in S (each independently in T or -T with
-    probability 1/2) and audit the distance-avoidance theorem."""
+    """Draw pairs of uniform points of T and audit the distance-avoidance
+    theorem on each pair both ways: |x - y| within a component and
+    |x + y| across."""
     if config.sample_count < 10**4:
         raise DomainError(f"need at least 1e4 pairs, got {config.sample_count}")
     params = config.params

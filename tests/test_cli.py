@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -357,6 +358,19 @@ class TestThreshold:
         err = capsys.readouterr().err
         assert err.startswith(f"ballavoid: error: at offset a={a}, c=1.432896618 certifies only n >= ")
         assert err.endswith(" exceed 10000\n")
+
+    @pytest.mark.parametrize("a", ["0.5001", "0.500001", "0.505"])
+    def test_range_error_names_exact_n_min(self, capsys, a):
+        # n_min is the smallest n with C_STAR < (2a - 1) sqrt(n - 1), in
+        # exact arithmetic on the doubles.  Worked out again from the
+        # rounded c_hi, it printed 51329820 and 513298179339 at the first
+        # two offsets.
+        n_min = math.floor((Fraction(C_STAR) / (2 * Fraction(float(a)) - 1)) ** 2) + 2
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--a", a])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f" certifies only n >= {n_min}; direct checks up to n={n_min - 1} exceed 10000\n")
 
     def test_constant_beyond_float_range_is_usage_error(self, capsys):
         # (c / (2a - 1))^2 overflowed and raised OverflowError.

@@ -111,15 +111,23 @@ class TestBestCertificate:
         best = best_certificate(a, c_min, c_max)
         assert best.n_min == n_min
         assert c_top - 1e-12 <= best.c <= c_top + 1e-4
-        c_lo, c_hi = certifying_constants(a, c_min, c_max)
-        assert c_hi == best.c
+        c_lo, c_hi, n_lo = certifying_constants(a, c_min, c_max)
+        assert (c_hi, n_lo) == (best.c, n_min)
         assert c_lo <= min(cert.c for cert in scan if cert.n_min == n_min)
 
     def test_canonical_interval(self):
-        c_lo, c_hi = certifying_constants()
-        assert c_lo == C_STAR
+        c_lo, c_hi, n_min = certifying_constants()
+        assert (c_lo, n_min) == (C_STAR, 15)
         assert c_hi == pytest.approx((2 * A - 1) * math.sqrt(14), rel=1e-15)
         assert minimal_certified_n(c_hi).n_min == 15
+
+    @pytest.mark.parametrize("a", [0.5001, 0.500001])
+    def test_certificate_covers_its_own_n_min_near_half(self, a):
+        # c_hi rounds above the slab boundary here: the certificate's n_min
+        # is the one its own c covers, not certifying_constants' exact one.
+        best = best_certificate(a)
+        assert certified_ratio_lower_bound(best.n_min, best.c, a) == best.bound_factor
+        assert minimal_certified_n(best.c, a) == best
 
     def test_no_certificate_in_vacuous_range(self):
         with pytest.raises(CertificateError):

@@ -202,12 +202,12 @@ class TestMcVolumeRatio:
 PINNED = [
     (
         SamplerConfig(0, 200_000, ConstructionParams(2)),
-        AuditReport(200_000, 0, 1.0028154618080771, 0.9905498655042342, 0),
+        AuditReport(200_000, 0, 1.0027609493130074, 0.9966808390423783, 0),
         114_439,
     ),
     (
         SamplerConfig(11, 20_000, ConstructionParams(64)),
-        AuditReport(20_000, 0, 1.2549992708979416, 0.8545223666288954, 11),
+        AuditReport(20_000, 0, 1.2385362401408258, 0.845591486320776, 11),
         19_971,
     ),
 ]
@@ -223,6 +223,10 @@ class TestSeededOutput:
         assert pair_audit(cfg) == report
         est = mc_volume_ratio(cfg)
         assert (est.hits, est.proposals) == (hits, cfg.sample_count)
+
+    @pytest.mark.parametrize("cfg,report,hits", PINNED)
+    def test_pinned_audit_matches_direct_computation(self, cfg, report, hits):
+        assert direct_audit(cfg, accept_in_T) == report
 
     @pytest.mark.parametrize("cfg,report,hits", PINNED)
     def test_independent_of_worker_count(self, monkeypatch, cfg, report, hits):
@@ -330,17 +334,61 @@ class TestPairAudit:
         assert rep.seed == 5
 
 
+def direct_audit(cfg, accept):
+    """The audit of cfg computed directly: the same chunk streams and
+    proposal blocks, accept(params, block) giving each block's accepted
+    rows, and every pair x, y checked both ways, |x - y| and |x + y|, on
+    whole chunks at once.  Witnesses follow the audit's order: per block,
+    the points outside T, then the same and then the cross pairs the
+    block completes."""
+    params = cfg.params
+    violations, witnesses, extremes = 0, [], []
+    chunk_rows = CHUNK_ELEMENTS // params.n
+    for i, start in enumerate(range(0, cfg.sample_count, chunk_rows)):
+        rows = min(chunk_rows, cfg.sample_count - start)
+        rng = _chunk_rng(cfg.seed, _AUDIT_STREAM, i)
+        blocks, filled = [], 0
+        while filled < 2 * rows:
+            m = min(max(2 * rows - filled, 2048), chunk_rows)
+            y = ball_points(params.n, rng, m, 0.5)
+            y[:, 0] += params.a
+            blocks.append(accept(params, y)[: 2 * rows - filled])
+            filled += blocks[-1].shape[0]
+        points = np.concatenate(blocks)
+        outside = component(params, points) != 1
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        x, y = points[0::2], points[1::2]
+        same = np.sqrt(np.einsum("ij,ij->i", x - y, x - y))
+        cross = np.sqrt(np.einsum("ij,ij->i", x + y, x + y))
+        violations += int(np.count_nonzero(outside) + np.count_nonzero(same >= 1.0)
+                          + np.count_nonzero(cross <= 1.0))
+        start = 0
+        for end in np.cumsum([block.shape[0] for block in blocks]):
+            pairs = range(start // 2, end // 2)
+            found = [(tuple(points[j]), (), "outside", float(norms[j]))
+                     for j in range(start, end) if outside[j]]
+            found += [(tuple(x[j]), tuple(y[j]), "same_component", float(same[j]))
+                      for j in pairs if same[j] >= 1.0]
+            found += [(tuple(x[j]), tuple(-y[j]), "cross_component", float(cross[j]))
+                      for j in pairs if cross[j] <= 1.0]
+            witnesses += found[: 10 - len(witnesses)]
+            start = end
+        extremes.append((cross.min(), same.max()))
+    return AuditReport(cfg.sample_count, violations, min(lo for lo, _ in extremes),
+                       max(hi for _, hi in extremes), cfg.seed, tuple(witnesses))
+
+
+def accept_in_T(params, block):
+    return block[component(params, block) == 1]
+
+
 class TestViolationPath:
     def test_matches_direct_computation(self, monkeypatch):
         # Accept every proposal of B(a e_1, 1/2) but the first of each
         # block, and move the last one out to x_1 = 10.  Blocks of even size
         # then accept odd counts, so that point is carried and paired with
         # the first point of the next block; it is outside S, and
-        # same-component pairs holding it are violations too.  The
-        # reference draws the same stream, signs all points and takes
-        # labels and distances of whole chunks at once; its witnesses
-        # follow the audit's order: per block, the points outside S, then
-        # the pairs the block completes.
+        # same-component pairs holding it are violations too.
         propose = sampling._propose
 
         def accept_all_but_first(params, rng, s, m):
@@ -350,50 +398,41 @@ class TestViolationPath:
             s.points[m - 1, 0] = 10.0
             return keep
 
+        def reference(params, block):
+            block[-1, 0] = 10.0
+            return block[1:]
+
         monkeypatch.setattr(sampling, "_propose", accept_all_but_first)
         use_workers(monkeypatch, 3)
-        params = ConstructionParams(256)
-        cfg = SamplerConfig(2, 20_000, params)  # ten chunks
-        violations, witnesses, dists = 0, [], []
-        chunk_rows = CHUNK_ELEMENTS // params.n
-        for i, start in enumerate(range(0, cfg.sample_count, chunk_rows)):
-            rows = min(chunk_rows, cfg.sample_count - start)
-            rng = _chunk_rng(cfg.seed, _AUDIT_STREAM, i)
-            signs = np.where(rng.random(2 * rows) < 0.5, 1.0, -1.0)
-            blocks, filled = [], 0
-            while filled < 2 * rows:
-                m = min(max(2 * rows - filled, 2048), chunk_rows)
-                y = ball_points(params.n, rng, m, 0.5)
-                y[:, 0] += params.a
-                y[-1, 0] = 10.0
-                blocks.append(y[1:][: 2 * rows - filled])
-                filled += blocks[-1].shape[0]
-            points = np.concatenate(blocks) * signs[:, None]
-            outside = component(params, points) == 0
-            norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-            x, y = points[0::2], points[1::2]
-            same = signs[0::2] == signs[1::2]
-            dist = np.sqrt(np.einsum("ij,ij->i", x - y, x - y))
-            bad = (same & (dist >= 1.0)) | (~same & (dist <= 1.0))
-            violations += int(np.count_nonzero(outside)) + int(np.count_nonzero(bad))
-            start = 0
-            for end in np.cumsum([block.shape[0] for block in blocks]):
-                found = [(tuple(points[j]), (), "outside", float(norms[j]))
-                         for j in start + np.flatnonzero(outside[start:end])]
-                found += [(tuple(x[i]), tuple(y[i]),
-                           "same_component" if same[i] else "cross_component", float(dist[i]))
-                          for i in range(start // 2, end // 2) if bad[i]]
-                witnesses += found[: 10 - len(witnesses)]
-                start = end
-            dists.append((dist[~same].min(), dist[same].max()))
+        cfg = SamplerConfig(2, 20_000, ConstructionParams(256))  # ten chunks
         rep = pair_audit(cfg)
         assert rep.max_same_distance > 8.0
         assert {tag for _, _, tag, _ in rep.violating_pairs} == {"outside", "same_component"}
-        assert rep.violations == violations > 0
-        assert rep.violating_pairs == tuple(witnesses)
-        assert rep.min_cross_distance == min(lo for lo, _ in dists)
-        assert rep.max_same_distance == max(hi for _, hi in dists)
+        assert rep.violations > 0
+        assert rep == direct_audit(cfg, reference)
 
+    def test_pair_checked_both_ways(self, monkeypatch):
+        # The second point of the first pair becomes -x: |x - y| = 2|x| >= 1
+        # and |x + y| = 0, so the pair fails both ways, and -x is outside T.
+        blocks = sampling._T_blocks
+
+        def mirrored(params, rng, count, s):
+            for k, (idx, rate) in enumerate(blocks(params, rng, count, s)):
+                if k == 0:
+                    s.points[idx[1]] = -s.points[idx[0]]
+                yield idx, rate
+
+        monkeypatch.setattr(sampling, "_T_blocks", mirrored)
+        rep = pair_audit(SamplerConfig(0, 10_000, ConstructionParams(2)))
+        assert rep.violations == 3
+        outside, same, cross = rep.violating_pairs
+        x = np.array(same[0])
+        assert outside == (tuple(-x), (), "outside", pytest.approx(np.linalg.norm(x), rel=1e-15))
+        assert same == (tuple(x), tuple(-x), "same_component",
+                        pytest.approx(2 * np.linalg.norm(x), rel=1e-15))
+        assert cross == (tuple(x), tuple(x), "cross_component", 0.0)
+        assert rep.min_cross_distance == 0.0
+        assert rep.max_same_distance == same[3]
 
     def test_misindexed_rows_are_outside(self, monkeypatch):
         # An off-by-one in the rows the rejection kernel reports makes the
@@ -420,16 +459,11 @@ class TestInnerApproximationAudit:
     def test_tightened_set_distances_and_containment(self):
         p = ConstructionParams(2)
         eps = 1e-3
-        rng = rng_for(6)
-        pts, _ = draw_T(p, rng, 40_000)
+        pts, _ = draw_T(p, rng_for(6), 40_000)
         inner_pts = pts[component(p, pts, eps) != 0]
         assert inner_pts.shape[0] > 1000
         assert np.all(component(p, inner_pts) == 1)
-        signs = np.where(rng.random(inner_pts.shape[0]) < 0.5, 1.0, -1.0)
-        signed = inner_pts * signs[:, None]
-        half = signed.shape[0] // 2
-        x, y = signed[:half], signed[half : 2 * half]
-        s_eq = signs[:half] == signs[half : 2 * half]
-        dist = np.linalg.norm(x - y, axis=1)
-        assert np.all(dist[s_eq] < 1.0)
-        assert np.all(dist[~s_eq] > 1.0)
+        half = inner_pts.shape[0] // 2
+        x, y = inner_pts[:half], inner_pts[half : 2 * half]
+        assert np.all(np.linalg.norm(x - y, axis=1) < 1.0)
+        assert np.all(np.linalg.norm(x + y, axis=1) > 1.0)
