@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .concentration import certifying_constants, concentration_bound, minimal_certified_n
 from .construction import (
     CANONICAL_OFFSET,
@@ -30,7 +32,7 @@ from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
 from .sampling import _Z99, SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
-from .volume import MAX_DIMENSION, RatioRow, maximize_a, ratio_S, ratio_table, vol_T_closed_form
+from .volume import MAX_DIMENSION, RatioTable, maximize_a, ratio_S, ratio_table, vol_T_closed_form
 
 # Step from the argmax at which optimize-a checks, without the derivative,
 # that the closed-form log volume is not higher on either side.  The drop
@@ -64,42 +66,56 @@ def _write_out(payload: str, out: str | None) -> int:
 _NOT_INPUTS = ("command", "format", "out", "handler")
 
 
-# One RatioRow as json.dumps(doc, indent=2) writes it in a list that is a
-# value of doc["results"].  The rows of ratio_table hold Python ints and
-# floats, whose %d and %r are what json.dumps writes for finite values.
+# The fields of a RatioTable that the CLI writes, one row per dimension.
+_TABLE_FIELDS = ("n", "ratio", "scaled", "margin")
+
+# One row of a RatioTable as json.dumps(doc, indent=2) writes it in a list
+# that is a value of doc["results"].  The rows hold Python ints and floats,
+# whose %d and %r are what json.dumps writes for finite values.
 _ROW_JSON = ('      {\n        "n": %d,\n        "ratio": %r,\n'
              '        "scaled": %r,\n        "margin": %r\n      }')
 
 
-def _rows_json(rows: list[RatioRow]) -> str:
-    """The list of RatioRows as json.dumps(doc, indent=2) writes it as a
-    value of doc["results"], about five times faster: the pure-Python
+def _table_rows(table: RatioTable):
+    """(n, ratio, scaled, margin) per dimension, as Python ints and floats."""
+    return zip(*(getattr(table, field).tolist() for field in _TABLE_FIELDS))
+
+
+def _rows_json(table: RatioTable) -> str:
+    """The table as json.dumps(doc, indent=2) writes a list of its rows as
+    a value of doc["results"], about five times faster: the pure-Python
     encoder that indent selects makes ~17 strings per row.  No key and no
-    finite float's repr contains "nan" or "inf", so the two replaces turn
-    exactly the non-finite values into json.dumps' NaN and (-)Infinity."""
-    body = ",\n".join([_ROW_JSON % row[:4] for row in rows])
-    return "[\n" + body.replace("nan", "NaN").replace("inf", "Infinity") + "\n    ]"
+    finite float's repr contains "nan" or "inf", so where a value is not
+    finite the two replaces turn exactly those into json.dumps' NaN and
+    (-)Infinity."""
+    body = ",\n".join([_ROW_JSON % row for row in _table_rows(table)])
+    if not np.isfinite([table.ratio, table.scaled, table.margin]).all():
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return "[\n" + body + "\n    ]"
+
+
+def _row_dicts(table: RatioTable) -> list[dict]:
+    return [dict(zip(_TABLE_FIELDS, row)) for row in _table_rows(table)]
 
 
 def _emit(args, ok: bool, results, text_lines, csv_rows) -> int:
     """Write the payload args.format asks for to args.out and return the
     exit code: 2 if it cannot be written, else 0 if ok, else 1.  results,
     text_lines and csv_rows are builders taking no argument; only what
-    that format needs is called.  A results value that is a list of
-    RatioRows is written as a list of {"n", "ratio", "scaled", "margin"}."""
+    that format needs is called.  A RatioTable as a results value is
+    written as a list of rows of _TABLE_FIELDS."""
     if args.format == "json":
         inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
         results = results()
-        tables = {key: value for key, value in results.items()
-                  if isinstance(value, list) and value and isinstance(value[0], RatioRow)}
+        tables = {key: value for key, value in results.items() if isinstance(value, RatioTable)}
         # Each table goes in as a placeholder string that no flag or result
         # holds (it starts with NUL); its JSON spelling is then replaced by
         # the table's rows.
         slots = {key: f"\0{key}" for key in tables}
         doc = {"command": args.command, "inputs": inputs, "results": {**results, **slots}, "pass": ok}
         payload = json.dumps(doc, indent=2) + "\n"
-        for key, rows in tables.items():
-            payload = payload.replace(json.dumps(slots[key]), _rows_json(rows), 1)
+        for key, table in tables.items():
+            payload = payload.replace(json.dumps(slots[key]), _rows_json(table), 1)
     elif args.format == "csv":
         rows = csv_rows()
         buf = io.StringIO()
@@ -110,10 +126,6 @@ def _emit(args, ok: bool, results, text_lines, csv_rows) -> int:
     else:
         payload = "\n".join(text_lines()) + "\n"
     return _write_out(payload, args.out) or (0 if ok else 1)
-
-
-def _row_dicts(rows) -> list[dict]:
-    return [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin} for r in rows]
 
 
 def _log_ratio(row) -> float:
@@ -142,15 +154,16 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = ratio_table(2, args.max_n, args.a)
-    ok = all(r.margin > 0 for r in rows)
+    table = ratio_table(2, args.max_n, args.a)
+    ok = bool((table.margin > 0).all())
 
     def text_lines():
         text = [f"{'n':>5}  {'ratio':>16}  {'scaled':>16}  {'margin':>16}"]
-        text.extend(f"{r.n:>5}  {r.ratio:>16.10g}  {r.scaled:>16.10g}  {r.margin:>16.10g}" for r in rows)
+        text.extend(f"{n:>5}  {ratio:>16.10g}  {scaled:>16.10g}  {margin:>16.10g}"
+                    for n, ratio, scaled, margin in _table_rows(table))
         return text
 
-    return _emit(args, ok, lambda: {"rows": rows}, text_lines, lambda: _row_dicts(rows))
+    return _emit(args, ok, lambda: {"rows": table}, text_lines, lambda: _row_dicts(table))
 
 
 def cmd_verify(args) -> int:
@@ -230,7 +243,7 @@ def cmd_threshold(args) -> int:
     # higher, but only near a = 1/2, where the check above has failed.
     best = minimal_certified_n(c_hi, args.a)
     direct = ratio_table(2, n_min - 1, args.a)
-    ok = best.n_min <= 15 and all(r.margin > 0 for r in direct)
+    ok = best.n_min <= 15 and bool((direct.margin > 0).all())
     results = {
         "c": best.c,
         "n_min": best.n_min,
@@ -243,8 +256,8 @@ def cmd_threshold(args) -> int:
     def text_lines():
         text = _kv_lines(list(results.items()))
         text.append("direct checks:")
-        text.extend(f"  n={r.n:<3} ratio={r.ratio:.10g} scaled={r.scaled:.10g} margin={r.margin:.10g}"
-                    for r in direct)
+        text.extend(f"  n={n:<3} ratio={ratio:.10g} scaled={scaled:.10g} margin={margin:.10g}"
+                    for n, ratio, scaled, margin in _table_rows(direct))
         return text
 
     return _emit(args, ok, lambda: {**results, "direct_checks": direct}, text_lines,

@@ -80,6 +80,17 @@ class RatioRow(NamedTuple):
     log_error_bound: float
 
 
+class RatioTable(NamedTuple):
+    """RatioRow's fields as columns, one entry per dimension: n an integer
+    array, the rest float64 arrays."""
+
+    n: np.ndarray
+    ratio: np.ndarray
+    scaled: np.ndarray
+    margin: np.ndarray
+    log_error_bound: np.ndarray
+
+
 def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int = 4096):
     """Integrate f on [lo, hi] by 15-point Gauss-Legendre on 1, 2, 4, ...
     equal panels, every node of a level in one call of f, until two
@@ -249,9 +260,10 @@ def maximize_a(n: int) -> float:
     return mid
 
 
-def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> list[RatioRow]:
-    """RatioRow for every dimension in [n_min, n_max]; each positive margin
-    is the direct check of the counterexample inequality at that n.
+def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTable:
+    """ratio_S's fields for every dimension in [n_min, n_max], as columns;
+    each positive margin is the direct check of the counterexample
+    inequality at that n.
 
     The same _log_scaled as ratio_S, but each of its three caps is taken
     for all n at once by the recurrence in n of _log_ball_cap_fractions,
@@ -271,13 +283,5 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> list[Rat
     log_scaled = _log_scaled(n, a, lambda t: _log_ball_cap_fractions(n_min, t, log_coef))
     log_vol = 0.5 * n * LOG_PI - lg[:-1] + n * LOG_HALF + log_scaled
     scaled = np.exp(LOG_TWO + log_scaled)
-    return [
-        RatioRow(*fields)
-        for fields in zip(
-            n.tolist(),
-            np.exp(LOG_TWO + n * LOG_HALF + log_scaled).tolist(),
-            scaled.tolist(),
-            (scaled - 1.0).tolist(),
-            (CLOSED_FORM_REL_ERROR * np.abs(log_vol)).tolist(),
-        )
-    ]
+    return RatioTable(n, np.exp(LOG_TWO + n * LOG_HALF + log_scaled), scaled, scaled - 1.0,
+                      CLOSED_FORM_REL_ERROR * np.abs(log_vol))

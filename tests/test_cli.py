@@ -11,15 +11,23 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballavoid
+from ballavoid import cli
 from ballavoid.cli import _emit, build_parser, main
 from ballavoid.concentration import C_STAR
 from ballavoid.construction import CANONICAL_OFFSET
-from ballavoid.volume import RatioRow, ratio_table
+from ballavoid.volume import RatioTable, ratio_table
+
+
+def row_dicts(table):
+    """The rows the CLI writes for a RatioTable, as json.loads reads them."""
+    return [dict(zip(("n", "ratio", "scaled", "margin"), row))
+            for row in zip(*(column.tolist() for column in table[:4]))]
 
 
 def run_cli(capsys, argv):
@@ -222,7 +230,7 @@ class TestVerify:
         res = json.loads(out)["results"]
         assert res["mc_ratio"] == res["analytic_ratio"] == 0.0
         assert res["analytic_log_ratio"] == pytest.approx(
-            math.log(ratio_table(2000, 2000)[0].scaled) - 2000 * math.log(2.0), rel=1e-15)
+            math.log(ratio_table(2000, 2000).scaled[0]) - 2000 * math.log(2.0), rel=1e-15)
         assert abs(res["mc_log_ratio"] - res["analytic_log_ratio"]) < 1e-3
 
     def test_log_interval_where_linear_half_width_underflows(self, capsys):
@@ -377,6 +385,10 @@ class TestThreshold:
         code, _ = run_cli(capsys, ["threshold", "--c-min", "1e200", "--c-max", "1e200"])
         assert code == 2
 
+    def test_infinite_constant_is_usage_error(self, capsys):
+        code, _ = run_cli(capsys, ["threshold", "--c-min", "inf", "--c-max", "inf"])
+        assert code == 2
+
     def test_no_certificate_range(self, capsys):
         code, _ = run_cli(capsys, ["threshold", "--c-min", "1", "--c-max", "1.2"])
         assert code == 1
@@ -485,7 +497,16 @@ class TestOutputFormats:
         ("concentration-check", "json"): "0f0dd433904825a21a42fe2a16418db59c2eb976206e6f3193392349c59c1f3f",
         ("concentration-check", "csv"): "5b891a01f2c4d3f7c66408043c69e84053f3783409273b4e4ac6368c3483788f",
         ("concentration-check", "text"): "3ab25ddf413b17b58ca72eafbb67cc519b0e5d2ba920570e7071c33cd623d3d3",
+        # Taken when the rows of table and threshold were RatioRow tuples.
+        ("table --max-n 10000", "csv"): "53a3cc6884017e28ba71b58e5851586b4ffaaec5715613e38bb029347b3180bd",
+        ("table --max-n 10000", "text"): "7b54487c1e439b09fb0fc0c2e7f3b6cf703bbca3c4e1158ac55d62c406b77547",
+        # Ratios of 0.0 and margins of -1.0 at large n, so the table fails.
+        ("table --max-n 10000 --a 0.99", "json"):
+            "9c5e578dd480a416b850f8758558253c726bb30a5ebaa9a137a019b1193935b7",
+        ("threshold", "csv"): "f1f90f9627fe992139e7e2b515d1d2cb0eb6df3b88968acbe01b169b98acb845",
     }
+    # Exit codes other than 0 among the FROZEN outputs.
+    EXIT = {"table --max-n 10000 --a 0.99": 1}
 
     @pytest.mark.parametrize("argv, fmt", sorted(FROZEN))
     def test_bytes_unchanged(self, capsys, tmp_path, argv, fmt):
@@ -495,14 +516,13 @@ class TestOutputFormats:
         else:
             code, text = run_cli(capsys, [*argv.split(), "--format", fmt])
             out = text.encode()
-        assert code == 0
+        assert code == self.EXIT.get(argv, 0)
         assert hashlib.sha256(out).hexdigest() == self.FROZEN[argv, fmt]
 
     @pytest.mark.parametrize("argv, key, max_n", [("table --max-n 64", "rows", 64),
                                                   ("threshold", "direct_checks", 14)])
     def test_rows_in_json_and_csv(self, capsys, argv, key, max_n):
-        rows = [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin}
-                for r in ratio_table(2, max_n)]
+        rows = row_dicts(ratio_table(2, max_n))
         _, out = run_cli(capsys, [*argv.split(), "--format", "json"])
         doc = json.loads(out)
         assert out == json.dumps(doc, indent=2) + "\n"
@@ -517,17 +537,38 @@ class TestOutputFormats:
         _, out = run_cli(capsys, ["table", "--max-n", max_n, "--a", a, "--format", "json"])
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
-    def test_non_finite_and_extreme_rows(self, capsys):
+    @staticmethod
+    def emit_table(table):
+        """_emit's JSON for a results dict holding table, and json.dumps'
+        bytes for the same document with the table as a list of dicts."""
+        args = argparse.Namespace(command="test", format="json", out=None)
+        results = {"c": 1.5, "rows": table, "after": ["nan", "inf"]}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert _emit(args, True, lambda: results, None, None) == 0
+        doc = {"command": "test", "inputs": {}, "results": {**results, "rows": row_dicts(table)},
+               "pass": True}
+        return out.getvalue(), json.dumps(doc, indent=2) + "\n"
+
+    @staticmethod
+    def table_of(values):
+        x = np.array(values)
+        return RatioTable(np.arange(len(x)), x, np.roll(x, -1), np.roll(x, -2), np.zeros(len(x)))
+
+    def test_non_finite_and_extreme_rows(self, monkeypatch):
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
                   1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1e16, 1e-7]
-        rows = [RatioRow(n, x, y, z, 0.0)
-                for n, (x, y, z) in enumerate(zip(values, values[1:] + values[:1], values[2:] + values[:2]))]
-        args = argparse.Namespace(command="test", format="json", out=None)
-        results = {"c": 1.5, "rows": rows, "after": ["nan", "inf"]}
-        assert _emit(args, True, lambda: results, None, None) == 0
-        dicts = [{"n": r.n, "ratio": r.ratio, "scaled": r.scaled, "margin": r.margin} for r in rows]
-        doc = {"command": "test", "inputs": {}, "results": {**results, "rows": dicts}, "pass": True}
-        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+        out, expected = self.emit_table(self.table_of(values))
+        assert "NaN" in out and "-Infinity" in out
+        assert out == expected
+        finite = self.table_of([v for v in values if math.isfinite(v)])
+        out, expected = self.emit_table(finite)
+        assert out == expected
+        # Only a table with a non-finite value goes through the replaces: a
+        # key spelled "inf" shows which branch wrote the rows.
+        monkeypatch.setattr(cli, "_ROW_JSON", cli._ROW_JSON.replace('"margin"', '"inf"'))
+        assert '"inf": ' in self.emit_table(finite)[0]
+        assert '"Infinity": ' in self.emit_table(self.table_of(values))[0]
 
 
 class TestEnvelope:

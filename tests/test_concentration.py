@@ -1,11 +1,14 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from ballavoid.cli import main
 from ballavoid.concentration import (
     C_STAR,
+    _width_ok_from,
     best_certificate,
     certified_ratio_lower_bound,
     certifying_constants,
@@ -83,6 +86,37 @@ class TestMinimalCertifiedN:
         certs = [minimal_certified_n(c) for c in (1.45, 1.6, 1.9, 2.3, 2.9)]
         widths = [cert.n_min for cert in certs]
         assert all(b >= a for a, b in zip(widths, widths[1:]))
+
+
+class TestWidthOkFrom:
+    """The smallest n with c/sqrt(n-1) <= 2a - 1 (< when strict), up to a
+    slack of 1e-9 in k = (c/(2a - 1))^2, checked in exact arithmetic on the
+    doubles c and a."""
+
+    @staticmethod
+    def fits(n, k, strict):
+        slack = Fraction(1, 10**9)
+        return n - 1 > k + slack if strict else n - 1 >= k - slack
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_exact_oracle_near_half(self, strict):
+        # In floats, 28 of 2943 such calls were one off, all at n >= 1.18e14.
+        rng = random.Random(13)
+        for _ in range(3000):
+            a = 0.5 + 10.0 ** rng.uniform(-8.0, -0.302)
+            c = rng.choice([C_STAR, rng.uniform(1.0, 3.0)])
+            k = (Fraction(c) / (2 * Fraction(a) - 1)) ** 2
+            n = _width_ok_from(c, a, strict)
+            assert n >= 3 and self.fits(n, k, strict), (a, c)
+            assert n == 3 or not self.fits(n - 1, k, strict), (a, c)
+
+    def test_largest_dimension_is_exact(self):
+        assert _width_ok_from(C_STAR, 0.5000000659524089, strict=True) == 118007170940483
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 1e200])
+    def test_beyond_float_range_is_domain_error(self, c):
+        with pytest.raises(DomainError):
+            _width_ok_from(c, A)
 
 
 def scan_certificates(a, c_min, c_max, step=1e-4):

@@ -4,12 +4,15 @@ import sys
 import numpy as np
 import pytest
 
-from ballavoid import specfun
+from ballavoid import specfun, volume
+from ballavoid.cli import main
 from ballavoid.construction import CANONICAL_OFFSET, chord_coordinate
 from ballavoid.errors import DomainError, NumericError
 from ballavoid.specfun import unit_ball_volume
 from ballavoid.volume import (
     CLOSED_FORM_REL_ERROR,
+    RatioRow,
+    RatioTable,
     _log_cos_power,
     adaptive_gauss_legendre,
     dvol_da,
@@ -22,6 +25,11 @@ from ballavoid.volume import (
 
 A = CANONICAL_OFFSET
 C = chord_coordinate(A)
+
+
+def table_rows(table):
+    """The rows of a RatioTable, one RatioRow per dimension."""
+    return [RatioRow._make(row) for row in zip(*(column.tolist() for column in table))]
 
 
 # --- independent antiderivative oracles (dimensions 2 and 3 only) --------
@@ -236,12 +244,11 @@ class TestRatio:
             ratio_S(2, method="sorcery")
 
     def test_table_margins_and_monotone_scaled(self):
-        rows = ratio_table(2, 200)
-        assert [r.n for r in rows] == list(range(2, 201))
-        assert all(r.margin > 0 for r in rows)
-        assert all(1.0 < r.scaled < 2.0 for r in rows)
-        scaled = [r.scaled for r in rows]
-        assert all(b > a for a, b in zip(scaled, scaled[1:]))
+        table = ratio_table(2, 200)
+        assert table.n.tolist() == list(range(2, 201))
+        assert (table.margin > 0).all()
+        assert ((1.0 < table.scaled) & (table.scaled < 2.0)).all()
+        assert (np.diff(table.scaled) > 0).all()
 
     def test_table_bounds_validated(self):
         with pytest.raises(DomainError):
@@ -280,7 +287,7 @@ class TestRatioTable:
         # (complement where t < 1/8), a = 0.9 broke the bound 6e5-fold at
         # n = 9999 and a = 0.51 gave NaN rows; with every cap summed
         # downward, a = 0.501 broke it 92-fold at n = 2.
-        rows = ratio_table(2, 10000, a)
+        rows = table_rows(ratio_table(2, 10000, a))
         assert [r.n for r in rows] == list(range(2, 10001))
         for row in rows:
             ref = ratio_S(row.n, a)
@@ -293,7 +300,7 @@ class TestRatioTable:
     def test_rows_match_mpmath(self, a):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 60
-        rows = ratio_table(2, 10000, a)
+        rows = table_rows(ratio_table(2, 10000, a))
         for n in (2, 3, 14, 15, 166, 1000, 5000, 9999, 10000):
             row = rows[n - 2]
             log_vn = n / mpmath.mpf(2) * mpmath.log(mpmath.pi) - mpmath.loggamma(1 + mpmath.mpf(n) / 2)
@@ -303,11 +310,29 @@ class TestRatioTable:
     @pytest.mark.parametrize("n_min, n_max", [(3, 3), (15, 15), (9999, 10000), (7, 300), (640, 2001)])
     def test_sub_range_matches_full_table(self, n_min, n_max):
         for a in (0.51, A, 0.9):
-            full = ratio_table(2, 10000, a)[n_min - 2:n_max - 1]
-            part = ratio_table(n_min, n_max, a)
+            full = table_rows(ratio_table(2, 10000, a))[n_min - 2:n_max - 1]
+            part = table_rows(ratio_table(n_min, n_max, a))
             assert [r.n for r in part] == [r.n for r in full]
             for p, f in zip(part, full):
                 assert abs(math.log(p.scaled) - math.log(f.scaled)) <= f.log_error_bound, (p.n, a)
+
+    def test_columns_without_per_row_records(self, monkeypatch, capsys):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a RatioRow was built")
+
+        # Patched on the class itself, so a RatioRow built through any
+        # module's binding of the name fails.
+        monkeypatch.setattr(volume.RatioRow, "__new__", no_rows)
+        table = ratio_table(2, 10000)
+        assert isinstance(table, RatioTable)
+        assert table.n.dtype.kind == "i"
+        for column in table:
+            assert isinstance(column, np.ndarray) and column.shape == (9999,)
+        assert all(column.dtype == np.float64 for column in table[1:])
+        np.testing.assert_array_equal(table.margin, table.scaled - 1.0)
+        for fmt in ("json", "csv", "text"):
+            assert main(["table", "--max-n", "10000", "--format", fmt]) == 0
+        capsys.readouterr()
 
     def test_scalar_evaluations_do_not_grow_with_n_max(self, monkeypatch):
         # Only the seeds of the chains are scalar: at most two per parity
