@@ -15,10 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .construction import CANONICAL_OFFSET
-from .errors import CertificateError, DomainError
+from .errors import CertificateError, DomainError, checked_dimension
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,7 @@ def certified_ratio_lower_bound(n: int, c: float, a: float = CANONICAL_OFFSET) -
     Valid whenever the theorem's slab (rescaled to radius 1/2) fits inside
     the construction's slab; then vol S / vol B >= 2 (1/2)^n bound(c).
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
-        raise DomainError(f"dimension must be an integer >= 3, got {n!r}")
+    n = checked_dimension(n, 3)
     bound = concentration_bound(c)
     needed = _width_ok_from(c, a)
     if n < needed:

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, checked_dimension
 
 #: Offset of the small-ball center along e_1 that maximizes the volume of T:
 #: the root of 3a^2 - a - 3/4 = 0 in (1/2, 1), evaluated 0.95 ulp above it (the
@@ -62,8 +62,7 @@ class ConstructionParams:
     threshold: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", checked_dimension(self.n, 2))
         if not 0.5 < self.a < 1.0:
             raise DomainError(f"offset must lie in (1/2, 1), got {self.a!r}")
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+dimension argument."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -31,3 +34,11 @@ class CertificateError(ValueError):
     def __init__(self, message, n_required=None):
         super().__init__(message)
         self.n_required = n_required
+
+
+def checked_dimension(n, least: int) -> int:
+    """n as a Python int, when it is an int or numpy integer, not a bool,
+    of at least `least`; DomainError otherwise."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"dimension must be an integer >= {least}, got {n!r}")
+    return int(n)

@@ -11,13 +11,15 @@ so the audit (stream 0) and the volume estimate (stream 1) share no bits.
 The audit checks each pair x, y of points of T it draws both ways:
 |x - y| within a component of S = T u -T and |x + y| across.
 
-Chunks run on W = min(usable CPUs, chunks) threads: worker k takes chunks
-k, k + W, k + 2W, ... and reuses one set of buffers for all of them, so
-memory grows with W but not with the pair or sample count.
-numpy releases the interpreter lock in the draws and array kernels, where
-the time goes.  The calling thread folds the per-chunk summaries in chunk
-order, so identical configuration gives a bit-identical result for every
-thread count.
+Chunks run on a standard-library pool of W = min(usable CPUs, chunks)
+threads, each of which keeps one set of buffers for every chunk it runs.
+Chunks are submitted in order, at most 2W ahead of the one the calling
+thread folds next, so memory grows with W but not with the chunk, pair
+or sample count.  numpy releases the interpreter lock in the draws and
+array kernels, where the time goes.  The calling thread folds the
+per-chunk summaries in chunk order, so identical configuration gives a
+bit-identical result for every thread count, and the lowest failing
+chunk's exception is the one raised.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import ConstructionParams, _in_T_mask
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, checked_dimension
 from .specfun import LogValue
 from .volume import VolumeEstimate
 
@@ -172,8 +175,7 @@ def _fill_ball(rng: np.random.Generator, g: np.ndarray, u: np.ndarray, sq: np.nd
 def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
     """Uniform points in the open unit n-ball: normalized Gaussian direction
     scaled by U^(1/n).  Returns shape (count, n)."""
-    if not n >= 1:
-        raise DomainError(f"dimension must be >= 1, got {n!r}")
+    n = checked_dimension(n, 1)
     g = np.empty((count, n))
     _fill_ball(rng, g, np.empty(count), np.empty(count), 1.0)
     return g
@@ -230,45 +232,38 @@ def sample_T(
     return accepted, rate
 
 
-def _run_chunks(seed: int, stream: int, total: int, n: int, audit: bool, work) -> list:
+def _run_chunks(seed: int, stream: int, total: int, n: int, audit: bool, work) -> Iterator:
     """Split `total` rows of dimension n into chunks of _chunk_rows(n) rows
-    and return [work(size, _chunk_rng(seed, stream, i), buffers)] in chunk
-    order, computed on min(usable CPUs, chunks) threads, the calling
-    thread among them.  Every thread is joined before this returns or
-    raises; the first failing chunk's exception is re-raised."""
+    and yield work(size, _chunk_rng(seed, stream, i), buffers) in chunk
+    order, computed on a pool of min(usable CPUs, chunks) threads that
+    each keep one set of buffers.  At most two chunks per thread are
+    submitted and not yet yielded.  The lowest failing chunk's exception
+    is raised, and every thread is joined before this finishes or raises."""
+    # Imported here, not at the top: with the logging it imports, it adds
+    # 5-10 ms to a start-up, which only verify needs to pay.
+    from concurrent.futures import ThreadPoolExecutor
+
     rows = _chunk_rows(n)
-    results = [None] * -(-total // rows)
-    workers = min(_usable_cpus(), len(results))
-    failures = []
-    stop = threading.Event()
+    chunks = -(-total // rows)
+    workers = min(_usable_cpus(), chunks)
+    local = threading.local()
 
-    def run(first: int) -> None:
-        i = first
-        try:
-            buffers = _Buffers(rows, n, audit)
-            for i in range(first, len(results), workers):
-                if stop.is_set():
-                    return
-                size = min(rows, total - i * rows)
-                results[i] = work(size, _chunk_rng(seed, stream, i), buffers)
-        except BaseException as exc:  # re-raised below, in the calling thread
-            failures.append((i, exc))
-            stop.set()
+    def run(i: int):
+        if not hasattr(local, "buffers"):
+            local.buffers = _Buffers(rows, n, audit)
+        return work(min(rows, total - i * rows), _chunk_rng(seed, stream, i), local.buffers)
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
-    for t in threads:
-        t.start()
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
     try:
-        run(0)
-        for t in threads:
-            t.join()
+        for i in range(chunks):
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(run, i))
+        while pending:
+            yield pending.popleft().result()
     finally:
-        stop.set()
-        for t in threads:
-            t.join()
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return results
+        pool.shutdown(cancel_futures=True)
 
 
 def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, checked_dimension
 
 # Cap fractions whose incomplete-beta front factor lies below exp(this) are
 # carried as logs.  A cap is front * h / (n + 1) with h >= 1, so above it
@@ -34,8 +34,7 @@ class LogValue:
 
 def unit_ball_volume(n: int) -> LogValue:
     """Log of the volume of the unit ball in dimension n: pi^(n/2) / Gamma(1 + n/2)."""
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
+    n = checked_dimension(n, 1)
     return LogValue(0.5 * n * math.log(math.pi) - math.lgamma(1.0 + 0.5 * n))
 
 
@@ -196,8 +195,7 @@ def _log_ball_cap_fractions(n_min: int, t: float, log_coef: np.ndarray) -> np.nd
 
 def slab_fraction(n: int, u0: float, u1: float) -> float:
     """Fraction of the unit n-ball with first coordinate in [u0, u1]."""
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
+    n = checked_dimension(n, 1)
     if not (-1.0 <= u0 <= u1 <= 1.0):
         raise DomainError(f"need -1 <= u0 <= u1 <= 1, got u0={u0!r}, u1={u1!r}")
     if u0 >= 0.0:

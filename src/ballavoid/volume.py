@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .construction import CANONICAL_OFFSET, ConstructionParams, chord_coordinate
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, checked_dimension
 from .specfun import LogValue, _log_ball_cap_fraction, _log_ball_cap_fractions, unit_ball_volume
 
 LOG_HALF = math.log(0.5)
@@ -146,8 +146,7 @@ def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     plus CLOSED_FORM_REL_ERROR * |log vol T| for rounding in log v_{n-1},
     n log cos p and the sum, which the quadrature does not see.
     """
-    ConstructionParams(n, a)
-    n = int(n)
+    n = ConstructionParams(n, a).n
     c = chord_coordinate(a)
     log_slab, rel_slab = _log_cos_power(n, -math.asin(2.0 * a - 1.0), math.asin(2.0 * (c - a)))
     log_cap, rel_cap = _log_cos_power(n, math.asin(c), 0.5 * math.pi)
@@ -180,8 +179,7 @@ def _closed_form(n: int, a: float) -> tuple[VolumeEstimate, float]:
     """vol_T_closed_form's estimate, and log(2^n vol T / v_n).  The latter is
     of order 1 at every n; formed without v_n and (1/2)^n, it does not round
     at the ulp of |log vol T| (7e-12 at n = 10000)."""
-    ConstructionParams(n, a)
-    n = int(n)
+    n = ConstructionParams(n, a).n
     log_scaled = float(_log_scaled(n, a, lambda t: _log_ball_cap_fraction(n, t)))
     log_vol = unit_ball_volume(n).log_magnitude + n * LOG_HALF + log_scaled
     est = VolumeEstimate(LogValue(log_vol), "closed_form", CLOSED_FORM_REL_ERROR * abs(log_vol))
@@ -232,8 +230,8 @@ def dvol_da(n: int, a: float = CANONICAL_OFFSET) -> float:
 
     with p = (n-1)/2; zero exactly at equidistance, for every n.
     """
-    ConstructionParams(n, a)
-    log_vn1 = unit_ball_volume(int(n) - 1).log_magnitude
+    n = ConstructionParams(n, a).n
+    log_vn1 = unit_ball_volume(n - 1).log_magnitude
     t1, t2 = _log_boundary_terms(n, a)
     return math.exp(log_vn1 + t1) - math.exp(log_vn1 + t2)
 
@@ -269,12 +267,10 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTab
     for all n at once by the recurrence in n of _log_ball_cap_fractions,
     from a few scalar seeds.
     """
-    if not (isinstance(n_min, (int, np.integer)) and isinstance(n_max, (int, np.integer))):
-        raise DomainError("dimension bounds must be integers")
-    if not 2 <= n_min <= n_max <= MAX_DIMENSION:
+    n_min, n_max = checked_dimension(n_min, 2), checked_dimension(n_max, 2)
+    if not n_min <= n_max <= MAX_DIMENSION:
         raise DomainError(f"need 2 <= n_min <= n_max <= {MAX_DIMENSION}, got [{n_min}, {n_max}]")
     ConstructionParams(n_min, a)
-    n_min, n_max = int(n_min), int(n_max)
     n = np.arange(n_min, n_max + 1)
     # lgamma(n/2 + 1) normalizes v_n; with its neighbour at n + 1 it gives
     # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)).

@@ -21,6 +21,7 @@ from ballavoid import cli
 from ballavoid.cli import _emit, build_parser, main
 from ballavoid.concentration import C_STAR
 from ballavoid.construction import CANONICAL_OFFSET
+from ballavoid.sampling import AuditReport
 from ballavoid.volume import RatioTable, ratio_table
 
 
@@ -260,6 +261,34 @@ class TestVerify:
         assert code == 1
         assert err.startswith("error: numerical failure: rejection acceptance rate below 1e-4")
         assert err.rstrip().endswith("(best_estimate=0)")
+
+    def test_violations_written_in_full(self, capsys, monkeypatch):
+        # One witness of each kind, with floats that take 16 or 17 digits
+        # to round-trip.
+        x, y = (0.7000000000000001, 0.30000000000000004), (0.5500000000000002, -0.1234567890123457)
+        witnesses = (
+            ((1.0000000000000002, 2.2250738585072014e-308), (), "outside", 1.0000000000000002),
+            (x, y, "same_component", 1.0000000000000009),
+            (x, (-y[0], -y[1]), "cross_component", 0.9999999999999998),
+        )
+        report = AuditReport(10_000, 3, 0.9999999999999998, 1.0000000000000009, 0, witnesses)
+        monkeypatch.setattr(cli, "pair_audit", lambda config: report)
+        argv = ["verify", "--n", "2", "--pairs", "10000", "--samples", "10000"]
+        code, out = run_cli(capsys, [*argv, "--format", "json"])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        assert doc["results"]["violations"] == 3
+        assert doc["results"]["violating_pairs"] == [
+            {"tag": tag, "distance": dist, "x": list(wx), "y": list(wy)}
+            for wx, wy, tag, dist in witnesses
+        ]
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("VIOLATION")] == [
+            f"VIOLATION {tag} distance={dist!r} x={wx!r} y={wy!r}"
+            for wx, wy, tag, dist in witnesses
+        ]
 
     def test_worker_error_exits_one_without_traceback(self, capsys):
         # The audit's rejection sampler gives up inside a worker thread.
@@ -628,6 +657,18 @@ print(sorted(m for m in ("scipy", "mpmath") if m in sys.modules))
         src = os.path.dirname(os.path.dirname(ballavoid.__file__))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_startup_imports_stay_lazy(self):
+        # Each of these is imported inside the one function that needs it;
+        # at module level every command would pay for it at start-up.
+        script = ("import sys, ballavoid.cli\n"
+                  "print(sorted(m for m in ('concurrent.futures', 'logging', 'fractions',"
+                  " 'decimal') if m in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(ballavoid.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

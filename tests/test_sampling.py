@@ -272,6 +272,50 @@ class TestWorkerThreads:
             estimator(SamplerConfig(0, 10_000, ConstructionParams(500, 0.99)))
         assert threading.active_count() == before
 
+    def test_lowest_failing_chunk_raised(self, monkeypatch):
+        # Chunk 1 fails at once and chunk 0 only after it: chunk 0's
+        # exception is the one that surfaces.
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "_chunk_rng", lambda seed, stream, i: i)
+        chunk_1_failed = threading.Event()
+
+        def work(rows, i, s):
+            if i == 1:
+                chunk_1_failed.set()
+                raise ValueError("chunk 1")
+            if i == 0:
+                assert chunk_1_failed.wait(10)
+                raise ValueError("chunk 0")
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="chunk 0"):
+            list(sampling._run_chunks(0, _AUDIT_STREAM, 4 * sampling._chunk_rows(2), 2, False,
+                                      work))
+        assert threading.active_count() == before
+
+    def test_look_ahead_bounded(self, monkeypatch):
+        # While chunk 0 is held, the other worker runs ahead only as far as
+        # the window of two chunks per worker, not through all 60.
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(sampling, "_chunk_rng", lambda seed, stream, i: i)
+        started = []
+        overrun = threading.Event()
+
+        def work(rows, i, s):
+            started.append(i)
+            if len(started) > 4:
+                overrun.set()
+            if i == 0:
+                overrun.wait(0.2)
+            return i
+
+        chunks = iter(sampling._run_chunks(0, _AUDIT_STREAM, 60 * sampling._chunk_rows(2), 2,
+                                           False, work))
+        assert next(chunks) == 0
+        assert len(started) <= 4
+        assert list(chunks) == list(range(1, 60))
+
 
 def test_audit_and_volume_streams_are_disjoint():
     audit = _chunk_rng(0, _AUDIT_STREAM, 0)

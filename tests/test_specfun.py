@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from ballavoid.construction import chord_coordinate
+from ballavoid.concentration import certified_ratio_lower_bound
+from ballavoid.construction import ConstructionParams, chord_coordinate
 from ballavoid.errors import DomainError, NumericError
+from ballavoid.sampling import sample_unit_ball
 from ballavoid.specfun import (
     LogValue,
     _ball_cap_fraction,
@@ -17,7 +19,7 @@ from ballavoid.specfun import (
     slab_fraction,
     unit_ball_volume,
 )
-from ballavoid.volume import _log_scaled, vol_T_closed_form
+from ballavoid.volume import _log_scaled, ratio_S, ratio_table, vol_T_closed_form
 from test_volume import mpmath_log_vol_T
 
 
@@ -29,6 +31,37 @@ class TestLogValue:
         # relative on the way back, so only a looser identity can hold.
         for v in (1e-200, 1e150):
             assert LogValue(math.log(v)).linear() == pytest.approx(v, rel=1e-13)
+
+
+# Functions taking a dimension, each with a value it accepts.  One rule
+# holds for all: an int or numpy integer is accepted and converted with
+# int(); a bool, a float or any other type is a DomainError.
+DIMENSION_ARGUMENTS = [
+    pytest.param(unit_ball_volume, 5, id="unit_ball_volume"),
+    pytest.param(lambda n: slab_fraction(n, -0.1, 0.1), 5, id="slab_fraction"),
+    pytest.param(lambda n: sample_unit_ball(n, np.random.default_rng(0), 3).tolist(), 5,
+                 id="sample_unit_ball"),
+    pytest.param(ConstructionParams, 5, id="ConstructionParams"),
+    pytest.param(ratio_S, 5, id="ratio_S"),
+    pytest.param(lambda n: ratio_table(n, n).margin.tolist(), 5, id="ratio_table"),
+    pytest.param(lambda n: certified_ratio_lower_bound(n, 2.0), 30,
+                 id="certified_ratio_lower_bound"),
+]
+
+
+class TestDimensionArgument:
+    @pytest.mark.parametrize("f,n", DIMENSION_ARGUMENTS)
+    def test_numpy_integer_same_as_int(self, f, n):
+        assert f(np.int64(n)) == f(n)
+
+    def test_converted_to_int(self):
+        assert type(ConstructionParams(np.int64(5)).n) is int
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 5.0, "5", np.float64(5.0)], ids=repr)
+    @pytest.mark.parametrize("f,n", DIMENSION_ARGUMENTS)
+    def test_rejects_non_integers(self, f, n, bad):
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            f(bad)
 
 
 class TestUnitBallVolume:
