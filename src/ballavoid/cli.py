@@ -32,7 +32,8 @@ from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
 from .sampling import _Z99, SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
-from .volume import MAX_DIMENSION, RatioTable, maximize_a, ratio_S, ratio_table, vol_T_closed_form
+from .volume import (MAX_DIMENSION, RatioTable, _sign_change_exact, maximize_a, ratio_S, ratio_table,
+                     vol_T_closed_form)
 
 # Step from the argmax at which optimize-a checks, without the derivative,
 # that the closed-form log volume is not higher on either side.  The drop
@@ -207,7 +208,17 @@ def cmd_verify(args) -> int:
                     for x, y, tag, dist in report.violating_pairs)
         return text
 
-    return _emit(args, ok, lambda: results, text_lines, lambda: [results])
+    def csv_rows():
+        # One row per witness: the summary, then its coordinates, a cell
+        # left empty where it has no second point.
+        if not report.violating_pairs:
+            return [summary]
+        coords = dict.fromkeys([f"{p}_{i}" for p in "xy" for i in range(1, params.n + 1)], "")
+        return [{**summary, "tag": tag, "distance": dist, **coords,
+                 **{f"x_{i}": v for i, v in enumerate(x, 1)}, **{f"y_{i}": v for i, v in enumerate(y, 1)}}
+                for x, y, tag, dist in report.violating_pairs]
+
+    return _emit(args, ok, lambda: results, text_lines, csv_rows)
 
 
 def cmd_optimize_a(args) -> int:
@@ -220,11 +231,13 @@ def cmd_optimize_a(args) -> int:
     drops = [peak.log_value.log_magnitude - side.log_value.log_magnitude for side in sides]
     # Fails only where a side is above the peak by more than both error bounds.
     local_max = all(d >= -(peak.error_bound + side.error_bound) for d, side in zip(drops, sides))
-    ok = abs(diff) <= 1e-7 and local_max
+    sign_change = _sign_change_exact(argmax)
+    ok = sign_change and local_max
     results = {
         "argmax": argmax,
         "canonical": canonical,
         "difference": diff,
+        "sign_change_exact": sign_change,
         "equidistance_residual": equidistance_residual(argmax),
         "log_volume_drop_at_1e-3": min(drops),
     }

@@ -21,9 +21,12 @@ import numpy as np
 from .errors import DomainError, GeometryError, checked_dimension
 
 #: Offset of the small-ball center along e_1 that maximizes the volume of T:
-#: the root of 3a^2 - a - 3/4 = 0 in (1/2, 1), evaluated 0.95 ulp above it (the
-#: nearest double is 0.6937129433613966); changing it alters every FROZEN hash.
-CANONICAL_OFFSET = (1.0 + math.sqrt(10.0)) / 6.0
+#: the root (1 + sqrt 10)/6 of 3a^2 - a - 3/4 = 0 in (1/2, 1), as the nearest
+#: double, 0.6937129433613966 (0.047 ulp below the root).  isqrt(10 * 4^120) is
+#: 2^120 sqrt 10 to within 1, far below the quotient's ulp, and int / int rounds
+#: correctly.  volume._sign_change_exact checks that the root lies between it
+#: and the next double up; changing it alters every FROZEN hash.
+CANONICAL_OFFSET = ((1 << 120) + math.isqrt(10 << 240)) / (6 << 120)
 
 
 def chord_coordinate(a: float) -> float:

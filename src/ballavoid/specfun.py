@@ -20,6 +20,9 @@ from .errors import DomainError, NumericError, checked_dimension
 # every n below 10^6.
 _LOG_LINEAR_MIN = -650.0
 
+# _log_gamma_half_ratio's switch from the direct difference to the series.
+_SERIES_FROM = 250.5
+
 
 @dataclass(frozen=True)
 class LogValue:
@@ -79,16 +82,35 @@ def _beta_continued_fraction(a: float, b: float, z: float) -> float:
     )
 
 
+def _log_gamma_half_ratio(x):
+    """R(x) = log(Gamma(x + 1/2) / Gamma(x)) for x > 0, a float or each entry
+    of a float array.  The direct difference of log-gammas cancels (1.7e-11
+    off at x = 4955), so from x = 250.5 (the caps of n = 500) up R is the
+    series 1/2 log x - 1/(8x) + 1/(192x^3) + 1/(640x^5) - 17/(14336x^7)
+    (DLMF 5.11.13).  Against 40-digit mpmath at x = (n + 1)/2 and n/2 + 1,
+    n = 2..10000: within 3.3e-15 on the series, 4.4e-13 below it."""
+    array = isinstance(x, np.ndarray)
+    if not array and x < _SERIES_FROM:
+        return math.lgamma(x + 0.5) - math.lgamma(x)
+    y = 1.0 / x
+    y2 = y * y
+    r = 0.5 * (np.log(x) if array else math.log(x)) - y * (
+        0.125 - y2 * (1.0 / 192.0 + y2 * (1.0 / 640.0 - y2 * (17.0 / 14336.0))))
+    if array:
+        direct = x < _SERIES_FROM
+        r[direct] = list(map(_log_gamma_half_ratio, x[direct].tolist()))
+    return r
+
+
 def _log_beta_front(z: float, alpha: float, beta: float) -> float:
     """log of z^alpha (1-z)^beta / B(alpha, beta), the factor in front of
-    the continued fraction of I_z(alpha, beta), for positive alpha, beta."""
-    return (
-        math.lgamma(alpha + beta)
-        - math.lgamma(alpha)
-        - math.lgamma(beta)
-        + alpha * math.log(z)
-        + beta * math.log1p(-z)
-    )
+    the continued fraction of I_z(alpha, beta), for positive alpha, beta.
+    Where one shape is 1/2, -log B is R(the other) - lgamma(1/2)."""
+    if beta == 0.5 or alpha == 0.5:
+        log_inv_beta = _log_gamma_half_ratio(alpha if beta == 0.5 else beta) - math.lgamma(0.5)
+    else:
+        log_inv_beta = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)
+    return log_inv_beta + alpha * math.log(z) + beta * math.log1p(-z)
 
 
 def reg_inc_beta(z: float, alpha: float, beta: float) -> float:

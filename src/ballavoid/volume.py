@@ -1,4 +1,4 @@
-"""Volume of T and S: quadrature, closed form, derivative, and optimizer.
+"""Volume of T and S: quadrature, closed form, derivative, and optimal offset.
 
 The volume of T splits along the chord plane x_1 = c into a slab of the
 small ball and a cap of the unit ball:
@@ -25,7 +25,8 @@ import numpy as np
 
 from .construction import CANONICAL_OFFSET, ConstructionParams, chord_coordinate
 from .errors import DomainError, NumericError, checked_dimension
-from .specfun import LogValue, _log_ball_cap_fraction, _log_ball_cap_fractions, unit_ball_volume
+from .specfun import (LogValue, _log_ball_cap_fraction, _log_ball_cap_fractions, _log_gamma_half_ratio,
+                      unit_ball_volume)
 
 LOG_HALF = math.log(0.5)
 LOG_TWO = math.log(2.0)
@@ -212,14 +213,6 @@ def ratio_S(n: int, a: float = CANONICAL_OFFSET, method: str = "closed_form") ->
                     margin=scaled - 1.0, log_error_bound=est.error_bound)
 
 
-def _log_boundary_terms(n: int, a: float) -> tuple[float, float]:
-    """The logs of dvol_da's two boundary terms over v_{n-1}:
-    p log(1/4 - (a - 1/2)^2) and p log(1/4 - (c - a)^2), p = (n-1)/2."""
-    c = chord_coordinate(a)
-    p = 0.5 * (n - 1)
-    return p * math.log(0.25 - (a - 0.5) ** 2), p * math.log(0.25 - (c - a) ** 2)
-
-
 def dvol_da(n: int, a: float = CANONICAL_OFFSET) -> float:
     """Derivative of vol T in the offset a.
 
@@ -231,31 +224,36 @@ def dvol_da(n: int, a: float = CANONICAL_OFFSET) -> float:
     with p = (n-1)/2; zero exactly at equidistance, for every n.
     """
     n = ConstructionParams(n, a).n
+    c = chord_coordinate(a)
+    p = 0.5 * (n - 1)
     log_vn1 = unit_ball_volume(n - 1).log_magnitude
-    t1, t2 = _log_boundary_terms(n, a)
-    return math.exp(log_vn1 + t1) - math.exp(log_vn1 + t2)
+    return (math.exp(log_vn1 + p * math.log(0.25 - (a - 0.5) ** 2))
+            - math.exp(log_vn1 + p * math.log(0.25 - (c - a) ** 2)))
+
+
+def _sign_change_exact(a: float) -> bool:
+    """Whether 3x^2 - x - 3/4, in rational arithmetic, is < 0 at x = a and
+    > 0 at the next double up: then a is the double just below the root
+    (1 + sqrt 10)/6, and vol T rises up to a and falls from the next double."""
+    # Imported here: fractions imports decimal, which no start-up needs.
+    from fractions import Fraction
+
+    lo, hi = Fraction(a), Fraction(math.nextafter(a, 1.0))
+    return 3 * lo * lo - lo < Fraction(3, 4) < 3 * hi * hi - hi
 
 
 def maximize_a(n: int) -> float:
-    """Bisection for the offset maximizing vol T, until lo and hi are
-    adjacent doubles: the result is the argmax to the last bit or two.
+    """The offset maximizing vol T, CANONICAL_OFFSET, in every dimension n >= 2.
 
-    vol T rises in a where the first log boundary term of dvol_da exceeds
-    the second and falls where it is below; that sign does not flatten in
-    rounding near the maximum, as the volume itself does at large n.  The
-    volume vanishes at both ends of (1/2, 1), so the maximum is interior.
+    dvol_da = v_{n-1} (A^p - B^p), A = 1/4 - (a - 1/2)^2, B = 1/4 - (c - a)^2,
+    p = (n - 1)/2 > 0, has the sign of A - B = ((c - a) - (a - 1/2))(c - 1/2),
+    with c > 1/2 and (c - a) - (a - 1/2) = -(3a^2 - a - 3/4)/(2a): vol T rises
+    where 3a^2 - a - 3/4 < 0 and falls where it is > 0, whatever n.
+    _sign_change_exact(CANONICAL_OFFSET) puts the root between it and the
+    next double up.
     """
     ConstructionParams(n)
-    lo, hi = 0.5, 1.0
-    mid = 0.75
-    while lo < mid < hi:
-        rising, falling = _log_boundary_terms(n, mid)
-        if rising > falling:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return CANONICAL_OFFSET
 
 
 def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTable:
@@ -272,12 +270,13 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTab
         raise DomainError(f"need 2 <= n_min <= n_max <= {MAX_DIMENSION}, got [{n_min}, {n_max}]")
     ConstructionParams(n_min, a)
     n = np.arange(n_min, n_max + 1)
-    # lgamma(n/2 + 1) normalizes v_n; with its neighbour at n + 1 it gives
-    # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)).
-    lg = np.array(list(map(math.lgamma, (0.5 * np.arange(n_min, n_max + 2) + 1.0).tolist())))
-    log_coef = lg[:-1] - lg[1:] - 0.5 * LOG_PI
+    # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)),
+    # and lgamma(n/2 + 1) normalizes v_n in the log volume that sizes the bound.
+    x = 0.5 * n + 1.0
+    log_coef = -_log_gamma_half_ratio(x) - 0.5 * LOG_PI
     log_scaled = _log_scaled(n, a, lambda t: _log_ball_cap_fractions(n_min, t, log_coef))
-    log_vol = 0.5 * n * LOG_PI - lg[:-1] + n * LOG_HALF + log_scaled
+    lg = np.array(list(map(math.lgamma, x.tolist())))
+    log_vol = 0.5 * n * LOG_PI - lg + n * LOG_HALF + log_scaled
     scaled = np.exp(LOG_TWO + log_scaled)
     return RatioTable(n, np.exp(LOG_TWO + n * LOG_HALF + log_scaled), scaled, scaled - 1.0,
                       CLOSED_FORM_REL_ERROR * np.abs(log_vol))

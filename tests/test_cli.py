@@ -290,6 +290,31 @@ class TestVerify:
             for wx, wy, tag, dist in witnesses
         ]
 
+    def test_violations_in_csv_one_row_per_witness(self, capsys, monkeypatch):
+        x, y = (0.7000000000000001, 0.30000000000000004), (0.5500000000000002, -0.1234567890123457)
+        witnesses = (
+            ((1.0000000000000002, 2.2250738585072014e-308), (), "outside", 1.0000000000000002),
+            (x, y, "same_component", 1.0000000000000009),
+        )
+        report = AuditReport(10_000, 2, 1.0001, 1.0000000000000009, 0, witnesses)
+        monkeypatch.setattr(cli, "pair_audit", lambda config: report)
+        argv = ["verify", "--n", "2", "--pairs", "10000", "--samples", "10000", "--format"]
+        code, out = run_cli(capsys, [*argv, "csv"])
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        _, summary_out = run_cli(capsys, [*argv, "json"])
+        summary = json.loads(summary_out)["results"]
+        del summary["violating_pairs"]
+        assert list(rows[0]) == [*summary, "tag", "distance", "x_1", "x_2", "y_1", "y_2"]
+        for row, (wx, wy, tag, dist) in zip(rows, witnesses, strict=True):
+            assert row["violations"] == "2"
+            assert float(row["max_same_distance"]) == 1.0000000000000009
+            assert row["tag"] == tag
+            assert float(row["distance"]) == dist
+            assert [float(row[f"x_{i}"]) for i in (1, 2)] == list(wx)
+            assert [float(row[f"y_{i}"]) for i in (1, 2) if row[f"y_{i}"]] == list(wy)
+        assert rows[0]["y_1"] == rows[0]["y_2"] == ""
+
     def test_worker_error_exits_one_without_traceback(self, capsys):
         # The audit's rejection sampler gives up inside a worker thread.
         code = main(["verify", "--n", "500", "--a", "0.99", "--pairs", "10000",
@@ -328,16 +353,28 @@ class TestOptimizeA:
         doc = json.loads(out)
         assert code == 0
         assert doc["inputs"] == {"n": n}
-        assert abs(doc["results"]["difference"]) <= 4.5e-16
+        assert doc["results"]["difference"] == 0.0
+        assert doc["results"]["sign_change_exact"] is True
 
     def test_volume_check_fails_off_the_maximum(self, capsys, monkeypatch):
-        # An optimizer and reference that agree on a wrong offset pass the
-        # 1e-7 check; the volume is higher at 0.75 - 1e-3.
+        # An optimizer, reference and sign check that agree on a wrong
+        # offset; the volume is higher at 0.75 - 1e-3.
+        monkeypatch.setattr("ballavoid.cli.maximize_a", lambda n: 0.75)
+        monkeypatch.setattr("ballavoid.cli.CANONICAL_OFFSET", 0.75)
+        monkeypatch.setattr("ballavoid.cli._sign_change_exact", lambda a: True)
+        code, out = run_cli(capsys, ["optimize-a", "--n", "2", "--format", "json"])
+        assert code == 1
+        assert json.loads(out)["results"]["log_volume_drop_at_1e-3"] < 0
+
+    def test_sign_check_fails_off_the_root(self, capsys, monkeypatch):
+        # 3a^2 - a - 3/4 is already positive at 0.75.
         monkeypatch.setattr("ballavoid.cli.maximize_a", lambda n: 0.75)
         monkeypatch.setattr("ballavoid.cli.CANONICAL_OFFSET", 0.75)
         code, out = run_cli(capsys, ["optimize-a", "--n", "2", "--format", "json"])
         assert code == 1
-        assert json.loads(out)["results"]["log_volume_drop_at_1e-3"] < 0
+        res = json.loads(out)["results"]
+        assert res["difference"] == 0.0
+        assert res["sign_change_exact"] is False
 
 
 class TestThreshold:
@@ -512,27 +549,27 @@ class TestOutputFormats:
     # names the file it writes (pure-Python math, no numpy rounding).
     FROZEN = {
         ("figure", "svg"): "c336b69058a30f8840286595c739421b98cf78cd602b65a3b4123c65bc44f41b",
-        ("figure", "points.csv"): "cffb5553858d90017e8fb97baf67059971de5f46a7f70e8eab26d4e0912fc4c8",
+        ("figure", "points.csv"): "c6e5d922363be1714ab8afa6a401d467b1f78309c457a8e82234583a5c7cf069",
         ("figure --epsilon 0.01", "svg"):
             "e768072f6df3f6212aa43d7414716fbf4050324e4e6a24281b754dbf6465b0fd",
         ("figure --epsilon 0.01", "points.csv"):
-            "4e3667cf6fbca99a44d7167559bf6ab714f9c3f02950d250eb3eb21ac8939c1b",
+            "fdc4ae91f29f65cdafd76d8ef5fa4620a295344c98a887a2c78bc1e880f2da5b",
         ("table --max-n 64", "text"): "531fb39c7ed2a7648d7d09028eee2a82cf5a6622c9c5dc9aaae2ccf37b1297ad",
-        ("table --max-n 64", "json"): "4503b70bd4100775a34f5840dae4459abbe3619a0c2c21df40bd301f437d9963",
+        ("table --max-n 64", "json"): "f63fc76cbdd36075369cb8a1eb4c57c748086417c3bb8cd84172de24283c3876",
         # Subnormal ratios at n = 1023..1075 and 0.0 from n = 1076.
-        ("table --max-n 10000", "json"): "87d688822af0bb269a5e903faf666b7f4d07bddb57f9400a93a45bf3dd2159b6",
+        ("table --max-n 10000", "json"): "185c01cb7cba43c80ff33f600bf60cc288039922791b81cce4c22df422e9892b",
         ("threshold", "text"): "0055482e5aec5456e378b4cd1c5e9f8a93ae152515868c5300b70ad5e4a6884b",
-        ("threshold", "json"): "ebed2ba6b36ba828ef633ae7bda5beeb420df89deb7d026fd2e119cdaf31ba28",
+        ("threshold", "json"): "ac14bdd7397b034efeab8b0af3b4bf05ef3d1266497b5e798bc3c767178deba5",
         ("concentration-check", "json"): "0f0dd433904825a21a42fe2a16418db59c2eb976206e6f3193392349c59c1f3f",
         ("concentration-check", "csv"): "5b891a01f2c4d3f7c66408043c69e84053f3783409273b4e4ac6368c3483788f",
         ("concentration-check", "text"): "3ab25ddf413b17b58ca72eafbb67cc519b0e5d2ba920570e7071c33cd623d3d3",
         # Taken when the rows of table and threshold were RatioRow tuples.
-        ("table --max-n 10000", "csv"): "53a3cc6884017e28ba71b58e5851586b4ffaaec5715613e38bb029347b3180bd",
+        ("table --max-n 10000", "csv"): "1ed4df7ad9aa2d16d1ec6a69b87f7ab1876c21d22277f0aaac505945fd815434",
         ("table --max-n 10000", "text"): "7b54487c1e439b09fb0fc0c2e7f3b6cf703bbca3c4e1158ac55d62c406b77547",
         # Ratios of 0.0 and margins of -1.0 at large n, so the table fails.
         ("table --max-n 10000 --a 0.99", "json"):
-            "9c5e578dd480a416b850f8758558253c726bb30a5ebaa9a137a019b1193935b7",
-        ("threshold", "csv"): "f1f90f9627fe992139e7e2b515d1d2cb0eb6df3b88968acbe01b169b98acb845",
+            "3f49cc5b1c7357dba70a334998b4854164a2e61b4278c462d191340ca6487a8c",
+        ("threshold", "csv"): "205ec07af734da6fdec6d6dd84f75d3a1d1b3cd390f903a7f47aff6ad7695dae",
     }
     # Exit codes other than 0 among the FROZEN outputs.
     EXIT = {"table --max-n 10000 --a 0.99": 1}

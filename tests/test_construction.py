@@ -47,6 +47,11 @@ class TestCanonicalOffset:
         assert CANONICAL_OFFSET == pytest.approx(bisect_offset_polynomial(), abs=1e-10)
         assert CANONICAL_OFFSET == pytest.approx(0.6937129434, abs=1e-10)
 
+    def test_nearest_double_to_the_root(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        assert CANONICAL_OFFSET == float((1 + mpmath.sqrt(10)) / 6)
+
     def test_in_valid_range(self):
         assert 0.5 < CANONICAL_OFFSET < 1.0
 

@@ -202,12 +202,12 @@ class TestMcVolumeRatio:
 PINNED = [
     (
         SamplerConfig(0, 200_000, ConstructionParams(2)),
-        AuditReport(200_000, 0, 1.0027609493130074, 0.9966808390423783, 0),
+        AuditReport(200_000, 0, 1.002760949313007, 0.9966808390423783, 0),
         114_439,
     ),
     (
         SamplerConfig(11, 20_000, ConstructionParams(64)),
-        AuditReport(20_000, 0, 1.2385362401408258, 0.845591486320776, 11),
+        AuditReport(20_000, 0, 1.2385362401408253, 0.845591486320776, 11),
         19_971,
     ),
 ]

@@ -15,6 +15,7 @@ from ballavoid.specfun import (
     LogValue,
     _ball_cap_fraction,
     _log_ball_cap_fraction,
+    _log_gamma_half_ratio,
     reg_inc_beta,
     slab_fraction,
     unit_ball_volume,
@@ -137,15 +138,29 @@ class TestRegIncBeta:
 
 # Dimensions over the documented range, and cap ends t below 1/8 (where a
 # cap may take the complement route I_{t^2}(1/2, (n+1)/2)) and above it.
-# n = 3428 at t = 0.0249 is the largest cap error found.
+# n = 3428 at t = 0.0249 is where a front factor taking lgamma(alpha + 1/2)
+# - lgamma(alpha) directly gave the largest cap error on this grid (1.7e-11).
 _CAP_NS = sorted({*np.geomspace(2, 10000, 25).round().astype(int).tolist(), 3428})
 _CAP_TS = (1e-3, 0.01, 0.0249, 0.05, 0.1, 0.2, 0.5, 0.9)
 
 
+def test_log_gamma_half_ratio_at_every_dimension():
+    # x = (n + 1)/2, the caps' shape, and x = n/2 + 1, ratio_table's, for
+    # n = 2..10000; the direct difference was off by up to 1.7e-11.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    x = 0.5 * np.arange(3, 10003)
+    half = mpmath.mpf(1) / 2
+    exact = [float(mpmath.loggamma(mpmath.mpf(v) + half) - mpmath.loggamma(v)) for v in x.tolist()]
+    for r in (_log_gamma_half_ratio(x), list(map(_log_gamma_half_ratio, x.tolist()))):
+        assert np.abs(np.subtract(r, exact)).max() <= 5e-13
+
+
 class TestRegIncBetaMeasured:
     def test_relative_error_at_cap_shapes(self):
-        # lgamma(alpha + beta) - lgamma(beta) cancels when one shape is 1/2
-        # and the other is 10^3-10^4: errors reach 1.7e-11, not 1e-13.
+        # Largest relative error found at the cap shapes over every
+        # n = 2..10000 at these t: 1.8e-12 (n = 265, t = 0.1); 3.0e-13 on
+        # this grid.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
         for n in _CAP_NS:
@@ -154,7 +169,7 @@ class TestRegIncBetaMeasured:
                 for z, p, q in ((t * t, 0.5, alpha), ((1.0 - t) * (1.0 + t), alpha, 0.5)):
                     exact = float(mpmath.betainc(p, q, 0, mpmath.mpf(z), regularized=True))
                     if exact >= sys.float_info.min:
-                        assert reg_inc_beta(z, p, q) == pytest.approx(exact, rel=3e-11, abs=0), (n, t, p)
+                        assert reg_inc_beta(z, p, q) == pytest.approx(exact, rel=2e-12, abs=0), (n, t, p)
 
     def test_closed_form_bound_covers_the_caps(self):
         # Each t is the slab end 2(a - 1/2) of the closed form at a = 1/2 + t/2.
@@ -165,7 +180,7 @@ class TestRegIncBetaMeasured:
                 exact = float(mpmath.betainc((n + 1) / mpmath.mpf(2), 0.5, 0, 1 - mpmath.mpf(t) ** 2,
                                              regularized=True) / 2)
                 if exact >= sys.float_info.min:
-                    assert _ball_cap_fraction(n, t) == pytest.approx(exact, rel=3e-11, abs=0), (n, t)
+                    assert _ball_cap_fraction(n, t) == pytest.approx(exact, rel=2e-12, abs=0), (n, t)
                 mpmath.mp.dps = 60
                 a = 0.5 + 0.5 * t
                 est = vol_T_closed_form(n, a)

@@ -11,9 +11,11 @@ from ballavoid.errors import DomainError, NumericError
 from ballavoid.specfun import unit_ball_volume
 from ballavoid.volume import (
     CLOSED_FORM_REL_ERROR,
+    MAX_DIMENSION,
     RatioRow,
     RatioTable,
     _log_cos_power,
+    _sign_change_exact,
     adaptive_gauss_legendre,
     dvol_da,
     maximize_a,
@@ -411,9 +413,17 @@ class TestMaximizer:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 166, 1000, 10000])
     def test_exact_to_the_last_bits(self, n):
-        # Bisection runs until lo and hi are adjacent doubles.  The float
-        # CANONICAL_OFFSET is itself about 1 ulp above (1 + sqrt 10)/6.
-        assert abs(maximize_a(n) - CANONICAL_OFFSET) <= 2 * math.ulp(CANONICAL_OFFSET)
+        # The maximizer is the root (1 + sqrt 10)/6 in every dimension, and
+        # CANONICAL_OFFSET is the nearest double to it, 0.047 ulp below.
+        assert maximize_a(n) == CANONICAL_OFFSET
+
+    def test_same_offset_in_every_dimension(self):
+        assert {maximize_a(n) for n in range(2, MAX_DIMENSION + 1)} == {CANONICAL_OFFSET}
+
+    def test_sign_change_exact_only_at_the_offset(self):
+        assert _sign_change_exact(CANONICAL_OFFSET)
+        assert not _sign_change_exact(math.nextafter(CANONICAL_OFFSET, 0.0))
+        assert not _sign_change_exact(math.nextafter(CANONICAL_OFFSET, 1.0))
 
     def test_argmax_invariant_across_dimensions(self):
         values = [maximize_a(n) for n in (2, 5, 12)]
