@@ -5,9 +5,10 @@ Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
 handler but figure and check-all passes its verdict and result builders
 to _emit, the one writer of a document.  JSON always carries the keys
 {"command", "inputs", "results", "pass"}, inputs being the parsed flags,
-in the bytes json.dumps(doc, indent=2) writes; text prints numbers with
-10 significant digits; CSV (stdlib csv) is header-first with floats
-written by repr.
+in the bytes json.dumps(doc, indent=2) writes (the rows of a RatioTable
+are spelled one distinct float at a time and spliced in); text prints
+numbers with 10 significant digits; CSV (stdlib csv) is header-first
+with floats written by repr.
 """
 
 from __future__ import annotations
@@ -70,11 +71,14 @@ _NOT_INPUTS = ("command", "format", "out", "handler")
 # The fields of a RatioTable that the CLI writes, one row per dimension.
 _TABLE_FIELDS = ("n", "ratio", "scaled", "margin")
 
-# One row of a RatioTable as json.dumps(doc, indent=2) writes it in a list
-# that is a value of doc["results"].  The rows hold Python ints and floats,
-# whose %d and %r are what json.dumps writes for finite values.
-_ROW_JSON = ('      {\n        "n": %d,\n        "ratio": %r,\n'
-             '        "scaled": %r,\n        "margin": %r\n      }')
+# The text between the cells of a RatioTable's rows as json.dumps(doc,
+# indent=2) writes them, a list of dicts, as a value of doc["results"]:
+# before the first n, before each later n (closing the row above), before
+# each ratio, scaled and margin, and after the last margin.
+_FIRST_ROW = '[\n      {\n        "n": '
+_NEXT_ROW = '\n      },\n      {\n        "n": '
+_FIELD_SEPS = (',\n        "ratio": ', ',\n        "scaled": ', ',\n        "margin": ')
+_LAST_ROW = '\n      }\n    ]'
 
 
 def _table_rows(table: RatioTable):
@@ -82,17 +86,30 @@ def _table_rows(table: RatioTable):
     return zip(*(getattr(table, field).tolist() for field in _TABLE_FIELDS))
 
 
+def _json_words(values: list) -> list[str]:
+    """json.dumps' spelling of each int or float in values, from one call of
+    its C encoder."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
 def _rows_json(table: RatioTable) -> str:
     """The table as json.dumps(doc, indent=2) writes a list of its rows as
-    a value of doc["results"], about five times faster: the pure-Python
-    encoder that indent selects makes ~17 strings per row.  No key and no
-    finite float's repr contains "nan" or "inf", so where a value is not
-    finite the two replaces turn exactly those into json.dumps' NaN and
-    (-)Infinity."""
-    body = ",\n".join([_ROW_JSON % row for row in _table_rows(table)])
-    if not np.isfinite([table.ratio, table.scaled, table.margin]).all():
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return "[\n" + body + "\n    ]"
+    a value of doc["results"].  Each distinct float bit pattern of the
+    three float columns is spelled once (from n = 1076 up most rows
+    repeat), so -0.0 and 0.0 and NaN payloads stay apart; the C encoder
+    spells them as the pure-Python one that indent selects does: repr,
+    or NaN, Infinity, -Infinity.  The spellings are scattered back into
+    a (rows x 8) array of cells and separators, which is joined."""
+    floats = np.concatenate((table.ratio, table.scaled, table.margin)).view(np.int64)
+    distinct, inverse = np.unique(floats, return_inverse=True)
+    words = np.array(_json_words(distinct.view(np.float64).tolist()), dtype=object)
+    cells = np.empty((table.n.size, 8), dtype=object)
+    cells[:, 0] = _NEXT_ROW
+    cells[0, 0] = _FIRST_ROW
+    cells[:, 1] = _json_words(table.n.tolist())
+    cells[:, 2::2] = _FIELD_SEPS
+    cells[:, 3::2] = words[inverse.reshape(3, -1).T]
+    return "".join(cells.ravel().tolist()) + _LAST_ROW
 
 
 def _row_dicts(table: RatioTable) -> list[dict]:
@@ -296,17 +313,19 @@ def cmd_figure(args) -> int:
 def cmd_concentration_check(args) -> int:
     if args.n_max < 3:
         raise DomainError(f"the inequality holds for n >= 3; --n-max {args.n_max} checks nothing")
+    # Every constant is checked before the grid, so that one the inequality
+    # does not admit is named as such, not as a slab it cannot form.
+    bounds = [concentration_bound(c) for c in args.c_list]
     rows = []
     ok = True
     for n in range(3, args.n_max + 1):
-        for c in args.c_list:
+        for c, bound in zip(args.c_list, bounds):
             width = c / math.sqrt(n - 1.0)
             if width > 1.0:
                 rows.append({"n": n, "c": c, "exact": "", "bound": "", "slack": "",
                              "status": "skipped: width > 1"})
                 continue
             exact = slab_fraction(n, -width, width)
-            bound = concentration_bound(c)
             slack = exact - bound
             ok = ok and slack >= 0
             rows.append({"n": n, "c": c, "exact": exact, "bound": bound,

@@ -224,4 +224,6 @@ def slab_fraction(n: int, u0: float, u1: float) -> float:
         return _ball_cap_fraction(n, u0) - _ball_cap_fraction(n, u1)
     if u1 <= 0.0:
         return _ball_cap_fraction(n, -u1) - _ball_cap_fraction(n, -u0)
-    return 1.0 - _ball_cap_fraction(n, u1) - _ball_cap_fraction(n, -u0)
+    cap = _ball_cap_fraction(n, u1)
+    # A symmetric slab's two caps are one cap.
+    return 1.0 - cap - (cap if -u0 == u1 else _ball_cap_fraction(n, -u0))

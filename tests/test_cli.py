@@ -535,6 +535,15 @@ class TestConcentrationCheck:
             "ballavoid concentration-check: error: argument --n-max: "
             "expected an integer in [2, 10000], got '10001'"]
 
+    @pytest.mark.parametrize("c_list, named", [("nan", "nan"), ("0.5,nan", "0.5"), ("1.5,nan", "nan")])
+    def test_constant_the_inequality_rejects_is_named(self, capsys, c_list, named):
+        # A nan constant was evaluated as a slab first, and the error named
+        # the slab's bounds u0=nan, u1=nan rather than the constant.
+        with pytest.raises(SystemExit) as exc:
+            main(["concentration-check", f"--c-list={c_list}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"ballavoid: error: the inequality requires c >= 1, got {named}\n"
+
     @pytest.mark.parametrize("c_list", ["abc", "1,x", ","])
     def test_malformed_c_list_is_usage_error(self, capsys, c_list):
         with pytest.raises(SystemExit) as exc:
@@ -621,7 +630,7 @@ class TestOutputFormats:
         x = np.array(values)
         return RatioTable(np.arange(len(x)), x, np.roll(x, -1), np.roll(x, -2), np.zeros(len(x)))
 
-    def test_non_finite_and_extreme_rows(self, monkeypatch):
+    def test_non_finite_and_extreme_rows(self):
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
                   1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1e16, 1e-7]
         out, expected = self.emit_table(self.table_of(values))
@@ -630,11 +639,27 @@ class TestOutputFormats:
         finite = self.table_of([v for v in values if math.isfinite(v)])
         out, expected = self.emit_table(finite)
         assert out == expected
-        # Only a table with a non-finite value goes through the replaces: a
-        # key spelled "inf" shows which branch wrote the rows.
-        monkeypatch.setattr(cli, "_ROW_JSON", cli._ROW_JSON.replace('"margin"', '"inf"'))
-        assert '"inf": ' in self.emit_table(finite)[0]
-        assert '"Infinity": ' in self.emit_table(self.table_of(values))[0]
+        # Each value's own spelling, as the ratio cell of its row.
+        x = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
+        rows = cli._rows_json(RatioTable(np.arange(x.size), x, x, x, x))
+        assert [line.split(": ")[1].rstrip(",") for line in rows.splitlines() if '"ratio"' in line] == [
+            "NaN", "Infinity", "-Infinity", "-0.0", "0.0", "5e-324"]
+
+    # Values whose spellings a writer could mix up: zeros of both signs, NaNs
+    # with different payloads (their bit patterns differ, their spelling
+    # does not), infinities, the least subnormal and 17-digit values.
+    _POOL = [-0.0, 0.0, math.nan, float(np.array(0xFFF8000000000001).view(np.float64)),
+             math.inf, -math.inf, 5e-324, 0.30000000000000004, 1.7976931348623157e308,
+             2.2250738585072014e-308, 0.10000000000000002, 1e-7, 1e22, 2.0, 1.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.integers(0, 10**6),
+           rows=st.lists(st.tuples(*[st.sampled_from(_POOL)] * 3), min_size=1, max_size=40))
+    def test_repeated_values_spelled_as_json_dumps(self, start, rows):
+        ratio, scaled, margin = (np.array(column) for column in zip(*rows))
+        n = np.arange(start, start + len(rows))
+        out, expected = self.emit_table(RatioTable(n, ratio, scaled, margin, np.zeros(n.size)))
+        assert out == expected
 
 
 class TestEnvelope:

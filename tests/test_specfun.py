@@ -242,6 +242,14 @@ class TestSlabFraction:
                     ref, rel=1e-9
                 )
 
+    def test_symmetric_slab_is_one_cap_twice(self):
+        # A symmetric slab takes its cap once; the bytes are those of the
+        # two-cap expression at every dimension, on both branches of the cap.
+        for n in range(3, 10001):
+            for w in (1e-9, 0.2, 0.9, 1.0 / math.sqrt(n - 1.0), min(1.0, 3.0 / math.sqrt(n - 1.0))):
+                two_caps = 1.0 - _ball_cap_fraction(n, w) - _ball_cap_fraction(n, w)
+                assert slab_fraction(n, -w, w) == two_caps, (n, w)
+
     @pytest.mark.parametrize("n", [2, 3, 50, 1000])
     def test_thin_cap_near_center(self, n):
         # P(x_1 > t) for t down to 1e-9: the complement branch needs
