@@ -6,7 +6,8 @@ handler but figure and check-all passes its verdict and result builders
 to _emit, the one writer of a document.  JSON always carries the keys
 {"command", "inputs", "results", "pass"}, inputs being the parsed flags,
 in the bytes json.dumps(doc, indent=2) writes (the rows of a RatioTable
-are spelled one distinct float at a time and spliced in); text prints
+are written one run of equal rows at a time, each distinct float spelled
+once, and spliced in); text prints
 numbers with 10 significant digits; CSV (stdlib csv) is header-first
 with floats written by repr.
 """
@@ -94,21 +95,32 @@ def _json_words(values: list) -> list[str]:
 
 def _rows_json(table: RatioTable) -> str:
     """The table as json.dumps(doc, indent=2) writes a list of its rows as
-    a value of doc["results"].  Each distinct float bit pattern of the
-    three float columns is spelled once (from n = 1076 up most rows
-    repeat), so -0.0 and 0.0 and NaN payloads stay apart; the C encoder
-    spells them as the pure-Python one that indent selects does: repr,
-    or NaN, Infinity, -Infinity.  The spellings are scattered back into
-    a (rows x 8) array of cells and separators, which is joined."""
-    floats = np.concatenate((table.ratio, table.scaled, table.margin)).view(np.int64)
-    distinct, inverse = np.unique(floats, return_inverse=True)
+    a value of doc["results"].  Rows are taken in runs of equal ratio,
+    scaled and margin bit patterns (so -0.0 and 0.0 and NaN payloads
+    split runs); at the canonical offset every row from n = 1076 up is
+    (0.0, 2.0, 1.0), so --max-n 10000 is 1075 runs.  Each
+    distinct float of the run heads is spelled once by the C encoder, as
+    the pure-Python one that indent selects does: repr, or NaN, Infinity,
+    -Infinity.  The spellings are scattered into a (runs x 8) array of
+    cells and separators; a longer run's n cell joins its dimensions with
+    the run's own text, the cells after n and the break to the next row."""
+    floats = np.stack((table.ratio, table.scaled, table.margin)).view(np.int64)
+    # Run k is rows bounds[k]:bounds[k + 1].
+    split = np.ones(table.n.size + 1, dtype=bool)
+    split[1:-1] = (floats[:, 1:] != floats[:, :-1]).any(axis=0)
+    bounds = np.flatnonzero(split)
+    heads = bounds[:-1]
+    distinct, inverse = np.unique(floats[:, heads].ravel(), return_inverse=True)
     words = np.array(_json_words(distinct.view(np.float64).tolist()), dtype=object)
-    cells = np.empty((table.n.size, 8), dtype=object)
+    cells = np.empty((heads.size, 8), dtype=object)
     cells[:, 0] = _NEXT_ROW
     cells[0, 0] = _FIRST_ROW
-    cells[:, 1] = _json_words(table.n.tolist())
+    cells[:, 1] = _json_words(table.n[heads].tolist())
     cells[:, 2::2] = _FIELD_SEPS
     cells[:, 3::2] = words[inverse.reshape(3, -1).T]
+    for run in np.flatnonzero(bounds[1:] - heads > 1).tolist():
+        glue = "".join(cells[run, 2:].tolist()) + _NEXT_ROW
+        cells[run, 1] = glue.join(map(str, table.n[bounds[run]:bounds[run + 1]].tolist()))
     return "".join(cells.ravel().tolist()) + _LAST_ROW
 
 
@@ -316,6 +328,10 @@ def cmd_concentration_check(args) -> int:
     # Every constant is checked before the grid, so that one the inequality
     # does not admit is named as such, not as a slab it cannot form.
     bounds = [concentration_bound(c) for c in args.c_list]
+    # The grid's width test at its smallest width, c / sqrt(n_max - 1).
+    if all(c / math.sqrt(args.n_max - 1.0) > 1.0 for c in args.c_list):
+        raise DomainError(f"every slab c/sqrt(n-1) is wider than 1 for n <= {args.n_max}; "
+                          f"--c-list {','.join(map(repr, args.c_list))} checks nothing")
     rows = []
     ok = True
     for n in range(3, args.n_max + 1):

@@ -98,7 +98,7 @@ def _log_gamma_half_ratio(x):
         0.125 - y2 * (1.0 / 192.0 + y2 * (1.0 / 640.0 - y2 * (17.0 / 14336.0))))
     if array:
         direct = x < _SERIES_FROM
-        r[direct] = list(map(_log_gamma_half_ratio, x[direct].tolist()))
+        r[direct] = [math.lgamma(v + 0.5) - math.lgamma(v) for v in x[direct].tolist()]
     return r
 
 

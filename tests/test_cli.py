@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballavoid
@@ -535,6 +535,24 @@ class TestConcentrationCheck:
             "ballavoid concentration-check: error: argument --n-max: "
             "expected an integer in [2, 10000], got '10001'"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("flags", ["--c-list 2 --n-max 3", "--c-list 8", "--c-list inf"])
+    def test_grid_of_skipped_slabs_is_usage_error(self, capsys, flags, fmt):
+        # Every slab was skipped as wider than 1, and the run passed.
+        with pytest.raises(SystemExit) as exc:
+            main(["concentration-check", *flags.split(), "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "checks nothing" in captured.err
+
+    def test_slab_of_width_one_is_checked(self, capsys):
+        # 7 / sqrt(50 - 1) = 1 exactly: the grid's own test keeps it.
+        code, out = run_cli(capsys, ["concentration-check", "--c-list", "7", "--format", "json"])
+        assert code == 0
+        checked = [r for r in json.loads(out)["results"]["rows"] if r["status"] == "ok"]
+        assert [(r["n"], r["c"]) for r in checked] == [(50, 7.0)]
+
     @pytest.mark.parametrize("c_list, named", [("nan", "nan"), ("0.5,nan", "0.5"), ("1.5,nan", "nan")])
     def test_constant_the_inequality_rejects_is_named(self, capsys, c_list, named):
         # A nan constant was evaluated as a slab first, and the error named
@@ -652,14 +670,43 @@ class TestOutputFormats:
              math.inf, -math.inf, 5e-324, 0.30000000000000004, 1.7976931348623157e308,
              2.2250738585072014e-308, 0.10000000000000002, 1e-7, 1e22, 2.0, 1.0]
 
+    # Rows in runs: (triple, length, twin) draws of pool indices.  A twin
+    # run repeats the triple above with the other zero and the other NaN
+    # (indices 0-1 and 2-3), so only bit patterns, not values, split it.
     @settings(max_examples=60, deadline=None)
     @given(start=st.integers(0, 10**6),
-           rows=st.lists(st.tuples(*[st.sampled_from(_POOL)] * 3), min_size=1, max_size=40))
-    def test_repeated_values_spelled_as_json_dumps(self, start, rows):
-        ratio, scaled, margin = (np.array(column) for column in zip(*rows))
+           runs=st.lists(st.tuples(st.tuples(*[st.integers(0, len(_POOL) - 1)] * 3),
+                                   st.integers(1, 30), st.booleans()), min_size=1, max_size=12))
+    @example(start=0, runs=[((10, 13, 14), 1, False)])
+    @example(start=1075, runs=[((1, 13, 0), 3, False), ((0, 0, 0), 1, True), ((2, 13, 14), 30, False),
+                               ((0, 0, 0), 2, True)])
+    def test_repeated_values_spelled_as_json_dumps(self, start, runs):
+        rows = []
+        for triple, length, twin in runs:
+            if twin and rows:
+                triple = [i ^ 1 if i < 4 else i for i in rows[-1]]
+            rows.extend([triple] * length)
+        ratio, scaled, margin = np.array(self._POOL)[np.array(rows).T]
         n = np.arange(start, start + len(rows))
         out, expected = self.emit_table(RatioTable(n, ratio, scaled, margin, np.zeros(n.size)))
         assert out == expected
+
+    def test_each_distinct_float_spelled_once(self, monkeypatch):
+        # 29 997 float cells at --max-n 10000 hold 1869 distinct bit
+        # patterns; a writer that spells per row or per cell passes more.
+        table = ratio_table(2, 10000)
+        spelled = []
+        json_words = cli._json_words
+
+        def counting_json_words(values):
+            spelled.extend(values)
+            return json_words(values)
+
+        monkeypatch.setattr(cli, "_json_words", counting_json_words)
+        cli._rows_json(table)
+        floats = [v for v in spelled if isinstance(v, float)]
+        assert len(floats) == 1869
+        assert len(floats) == np.unique(np.stack(table[1:4]).view(np.int64)).size
 
 
 class TestEnvelope:

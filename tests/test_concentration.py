@@ -207,9 +207,12 @@ class TestValidateTheorem:
         assert rows[0]["status"] == "ok"
 
     def test_wide_slab_rejected(self, capsys):
-        _, rows = concentration_rows(capsys, 3, "2")
-        assert rows == [{"n": 3, "c": 2.0, "exact": "", "bound": "", "slack": "",
-                         "status": "skipped: width > 1"}]
+        # c = 1 keeps the grid non-empty: a list whose every slab is too
+        # wide is a usage error (tests/test_cli.py).
+        code, rows = concentration_rows(capsys, 3, "1,2")
+        assert code == 0
+        assert rows[1] == {"n": 3, "c": 2.0, "exact": "", "bound": "", "slack": "",
+                           "status": "skipped: width > 1"}
 
     def test_full_grid(self, capsys):
         code, rows = concentration_rows(capsys, 50, "1,1.5,2,3")
