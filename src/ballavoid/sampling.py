@@ -1,15 +1,28 @@
 """Seeded Monte Carlo: ball sampling, rejection sampling in T, volume
 estimation, and randomized audits of the distance-avoidance property.
 
-Gaussian variates come from numpy's ziggurat generator
-(``Generator.standard_normal``) on PCG64 bit streams.  The audit and the
-volume estimate draw their points in chunks of max(1, CHUNK_ELEMENTS // n)
-rows and fold each chunk into running totals, so memory stays bounded at
-every pair count and dimension.  Chunk i draws from its own generator,
-seeded by the i-th child of ``SeedSequence(seed, spawn_key=(stream,))``,
-so the audit (stream 0) and the volume estimate (stream 1) share no bits.
-The audit checks each pair x, y of points of T it draws both ways:
-|x - y| within a component of S = T u -T and |x + y| across.
+``sample_unit_ball`` and ``sample_T`` return points with all n
+coordinates: a Gaussian direction from numpy's ziggurat generator
+(``Generator.standard_normal``) on PCG64 bit streams, scaled by a power
+of a uniform variate.
+
+The audit and the volume estimate draw in reduced coordinates instead,
+at a cost per point and per pair that does not depend on n.  T is
+symmetric about the e_1 axis, and membership depends only on x_1 and
+|x|^2; a pair x, y spans at most three dimensions together with e_1.  So
+each point of B(a e_1, 1/2) is drawn as x_1 and rho = |x - x_1 e_1| from
+four one-dimensional variates (see _propose), and each pair as the
+3-vectors x = (x_1, rho_x, 0) and y = (y_1, rho_y cos phi, rho_y sin phi)
+(see _pair_points); the other n - 3 coordinates are zero.
+
+They draw in chunks of CHUNK_ROWS rows (pairs in the audit, proposals in
+the volume estimate) and fold each chunk into running totals, so memory
+stays bounded at every pair count and dimension.  Chunk i draws from its
+own generator, seeded by the i-th child of
+``SeedSequence(seed, spawn_key=(stream,))``, so the audit (stream 0) and
+the volume estimate (stream 1) share no bits.  The audit checks each pair
+x, y of points of T it draws both ways: |x - y| within a component of
+S = T u -T and |x + y| across.
 
 Chunks run on a standard-library pool of W = min(usable CPUs, chunks)
 threads, each of which keeps one set of buffers for every chunk it runs.
@@ -28,7 +41,7 @@ import math
 import os
 import threading
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +54,13 @@ from .volume import VolumeEstimate
 # 99% two-sided normal quantile, for the Wilson CI half-width.
 _Z99 = 2.5758293035489004
 
-# Element budget of a chunk: rows per chunk (pairs in the audit, proposals
-# in the volume estimate and in each rejection block) = max(1, this // n).
-CHUNK_ELEMENTS = 2**19
+# Rows of a chunk (pairs in the audit, proposals in the volume estimate),
+# and the most proposals in one of the audit's rejection blocks.
+CHUNK_ROWS = 2**16
+
+# Element budget of one of sample_T's proposal blocks: max(1, this // n)
+# points of n coordinates.
+_T_BLOCK_ELEMENTS = 2**19
 
 # Witnesses kept in an AuditReport.
 _MAX_WITNESSES = 10
@@ -118,10 +135,6 @@ def _sq_norms(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", v, v, out=out)
 
 
-def _chunk_rows(n: int) -> int:
-    return max(1, CHUNK_ELEMENTS // n)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -136,18 +149,22 @@ def _chunk_rng(seed: int, stream: int, i: int) -> np.random.Generator:
 
 
 class _Buffers:
-    """One worker's buffers, reused for every chunk it runs: proposal
-    blocks of up to `rows` points of dimension n and, for the audit, the
-    accepted points of one block and the one carried from the last."""
+    """One worker's buffers, reused for every chunk it runs: a proposal
+    block of up to CHUNK_ROWS points in reduced coordinates with its work
+    arrays and, for the audit, the first three coordinates of a chunk's
+    points and of their differences."""
 
-    def __init__(self, rows: int, n: int, audit: bool = False):
-        self.points = np.empty((rows, n))
+    def __init__(self, audit: bool = False):
+        rows = CHUNK_ROWS
+        self.x1 = np.empty(rows)
+        self.rho = np.empty(rows)
         self.u = np.empty(rows)
         self.sq = np.empty(rows)
         self.keep = np.empty(rows, dtype=bool)
         self.test = np.empty(rows, dtype=bool)
         if audit:
-            self.accepted = np.empty((rows + 1, n))
+            self.points = np.empty((3, 2 * rows))
+            self.diff = np.empty((3, rows))
 
 
 def _fill_ball(rng: np.random.Generator, g: np.ndarray, u: np.ndarray, sq: np.ndarray,
@@ -181,28 +198,19 @@ def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.nda
     return g
 
 
-def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, m: int):
-    """Overwrite s.points[:m] with uniform points of B(a e_1, 1/2); return
-    the mask of those in T."""
-    y, sq, u = s.points[:m], s.sq[:m], s.u[:m]
-    _fill_ball(rng, y, u, sq, 0.5)
-    y[:, 0] += params.a
-    return _in_T_mask(params, y[:, 0], _sq_norms(y, sq), 0.0, s.keep[:m], u, s.test[:m])
-
-
 def _T_blocks(
-    params: ConstructionParams, rng: np.random.Generator, count: int, s: _Buffers
+    params: ConstructionParams, count: int, rows: int, propose: Callable[[int], np.ndarray]
 ) -> Iterator[tuple[np.ndarray, float]]:
-    """Draw `count` points of T by rejection, in proposal blocks of
-    min(max(still needed, 2048), chunk rows) rows.  For each block, yield
-    the rows of s.points that hold its accepted points still needed, and
-    the acceptance rate so far, which counts every hit over every
-    proposal, including surplus hits that the last block draws."""
+    """Draw `count` points of T by rejection, in blocks of
+    min(max(still needed, 2048), rows) proposals; propose(m) draws a block
+    of m and returns the mask of those in T.  For each block, yield the
+    indices of its accepted proposals still needed, and the acceptance
+    rate so far, which counts every hit over every proposal, including
+    surplus hits that the last block draws."""
     filled = hits = proposed = 0
-    rows = _chunk_rows(params.n)
     while filled < count:
         m = min(max(count - filled, 2048), rows)
-        idx = np.flatnonzero(_propose(params, rng, s, m))
+        idx = np.flatnonzero(propose(m))
         proposed += m
         hits += idx.size
         if proposed >= 2048 and hits / proposed < 1e-4:
@@ -222,35 +230,77 @@ def sample_T(
     a*e_1; returns (points of shape (count, n), acceptance rate).  The rate
     counts every hit over every proposal, including surplus hits that the
     last block draws beyond `count`."""
-    s = _Buffers(min(max(count, 2048), _chunk_rows(params.n)), params.n)
+    rows = max(1, _T_BLOCK_ELEMENTS // params.n)
+    y = np.empty((min(max(count, 2048), rows), params.n))
+    u, sq = np.empty(len(y)), np.empty(len(y))
+    keep, test = np.empty(len(y), dtype=bool), np.empty(len(y), dtype=bool)
+
+    def propose(m):
+        _fill_ball(rng, y[:m], u[:m], sq[:m], 0.5)
+        y[:m, 0] += params.a
+        return _in_T_mask(params, y[:m, 0], _sq_norms(y[:m], sq[:m]), 0.0, keep[:m], u[:m],
+                          test[:m])
+
     accepted = np.empty((count, params.n))
     filled = 0
     rate = 0.0
-    for idx, rate in _T_blocks(params, rng, count, s):
-        np.take(s.points, idx, axis=0, out=accepted[filled : filled + idx.size], mode="clip")
+    for idx, rate in _T_blocks(params, count, rows, propose):
+        np.take(y, idx, axis=0, out=accepted[filled : filled + idx.size], mode="clip")
         filled += idx.size
     return accepted, rate
 
 
-def _run_chunks(seed: int, stream: int, total: int, n: int, audit: bool, work) -> Iterator:
-    """Split `total` rows of dimension n into chunks of _chunk_rows(n) rows
-    and yield work(size, _chunk_rng(seed, stream, i), buffers) in chunk
-    order, computed on a pool of min(usable CPUs, chunks) threads that
-    each keep one set of buffers.  At most two chunks per thread are
-    submitted and not yet yielded.  The lowest failing chunk's exception
-    is raised, and every thread is joined before this finishes or raises."""
+def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, m: int):
+    """Overwrite s.x1[:m] and s.rho[:m] with x_1 and rho = |x - x_1 e_1|
+    of m uniform points x of B(a e_1, 1/2); return the mask of those in T.
+
+    The first n coordinates of a uniform point of the sphere S^(n+1) are
+    uniform in the unit n-ball.  Split a standard Gaussian vector G of
+    R^(n+2) into its first coordinate g ~ N(0, 1), the next n - 1 and the
+    last two: their squared norms are 2SW and 2S(1 - W), independent of g,
+    where S ~ Gamma((n+1)/2) and W ~ Beta((n-1)/2, 1) = V^(2/(n-1)) for
+    V ~ U(0, 1).  So x_1 = a + g/(2|G|) and rho = sqrt(2SW)/(2|G|), with
+    |G|^2 = g^2 + 2S.  The Gamma shape is at least 3/2 at every n; below
+    shape 1 numpy's Gamma sampler takes about twice as long per draw."""
+    x1, rho, u, sq = s.x1[:m], s.rho[:m], s.u[:m], s.sq[:m]
+    rng.standard_normal(out=x1)
+    rng.standard_gamma((params.n + 1) / 2, out=rho)
+    rng.random(out=u)
+    u **= 2.0 / (params.n - 1)
+    rho += rho  # 2S
+    u *= rho  # 2SW
+    np.multiply(x1, x1, out=sq)
+    sq += rho
+    np.sqrt(sq, out=sq)
+    np.divide(0.5, sq, out=sq)  # 1/(2|G|)
+    x1 *= sq
+    x1 += params.a
+    np.sqrt(u, out=rho)
+    rho *= sq
+    np.multiply(x1, x1, out=sq)
+    sq += np.multiply(rho, rho, out=u)
+    return _in_T_mask(params, x1, sq, 0.0, s.keep[:m], u, s.test[:m])
+
+
+def _run_chunks(seed: int, stream: int, total: int, audit: bool, work) -> Iterator:
+    """Split `total` rows into chunks of CHUNK_ROWS rows and yield
+    work(size, _chunk_rng(seed, stream, i), buffers) in chunk order,
+    computed on a pool of min(usable CPUs, chunks) threads that each keep
+    one set of buffers.  At most two chunks per thread are submitted and
+    not yet yielded.  The lowest failing chunk's exception is raised, and
+    every thread is joined before this finishes or raises."""
     # Imported here, not at the top: with the logging it imports, it adds
     # 5-10 ms to a start-up, which only verify needs to pay.
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = _chunk_rows(n)
+    rows = CHUNK_ROWS
     chunks = -(-total // rows)
     workers = min(_usable_cpus(), chunks)
     local = threading.local()
 
     def run(i: int):
         if not hasattr(local, "buffers"):
-            local.buffers = _Buffers(rows, n, audit)
+            local.buffers = _Buffers(audit)
         return work(min(rows, total - i * rows), _chunk_rng(seed, stream, i), local.buffers)
 
     pool = ThreadPoolExecutor(workers)
@@ -277,8 +327,7 @@ def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
     def hits_in(rows, rng, s):
         return int(np.count_nonzero(_propose(params, rng, s, rows)))
 
-    hits = sum(_run_chunks(config.seed, _VOLUME_STREAM, config.sample_count, params.n,
-                           False, hits_in))
+    hits = sum(_run_chunks(config.seed, _VOLUME_STREAM, config.sample_count, False, hits_in))
     if hits == 0:
         raise NumericError(
             f"no proposal of {config.sample_count} landed in T at a={params.a!r}",
@@ -297,6 +346,49 @@ def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
     )
 
 
+def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffers,
+                 pairs: int) -> np.ndarray:
+    """Draw `pairs` pairs x, y of uniform points of T; return the first
+    three coordinates of the x's and then of the y's, as the columns of a
+    (3, 2 pairs) view of s.points.  The other n - 3 coordinates are zero.
+
+    Each point comes from the rejection sampler as (x_1, rho, 0).  A
+    rotation about e_1 preserves T and every distance, and turns the parts
+    of x and y orthogonal to e_1 into (rho_x, 0, 0) and
+    (rho_y cos phi, rho_y sin phi, 0), phi the angle between them.  cos phi
+    is distributed as the first coordinate of a uniform point of S^(n-2):
+    h/sqrt(h^2 + 2P) for h ~ N(0, 1) and P ~ Gamma((n-2)/2), with
+    sin phi = sqrt(2P)/sqrt(h^2 + 2P).  At n = 2, P = 0 and cos phi = +-1."""
+    p = s.points[:, : 2 * pairs]
+    filled = 0
+    for idx, _ in _T_blocks(params, 2 * pairs, CHUNK_ROWS, lambda m: _propose(params, rng, s, m)):
+        end = filled + idx.size
+        np.take(s.x1, idx, out=p[0, filled:end], mode="clip")
+        np.take(s.rho, idx, out=p[1, filled:end], mode="clip")
+        filled = end
+    # The block's buffers are free once its points are copied out.
+    x, y = p[:, :pairs], p[:, pairs:]
+    h, r = s.x1[:pairs], s.sq[:pairs]
+    rng.standard_normal(out=h)
+    rng.standard_gamma((params.n - 2) / 2, out=y[2])
+    y[2] += y[2]  # 2P
+    np.multiply(h, h, out=r)
+    r += y[2]
+    while not r.all():  # measure-zero (h = 0 at n = 2); redraw those h
+        bad = r == 0.0
+        h[bad] = rng.standard_normal(int(bad.sum()))
+        np.multiply(h, h, out=r)
+        r += y[2]
+    np.sqrt(r, out=r)
+    np.sqrt(y[2], out=y[2])
+    y[2] /= r  # sin phi
+    y[2] *= y[1]
+    h /= r  # cos phi
+    y[1] *= h
+    x[2] = 0.0
+    return p
+
+
 def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generator,
                  s: _Buffers) -> tuple[int, float, float, list]:
     """Audit `pairs` pairs x, y of points of T, each both ways; return
@@ -304,51 +396,43 @@ def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generato
     witnesses).
 
     The same-component pairs (x, y) and (-x, -y) of S lie at |x - y|, the
-    cross pairs (x, -y) and (-x, y) at |x + y|; negation is exact.
-    Accepted points are copied out of each proposal block and tested
-    against T again, so a row the sampler mislabels or misindexes is a
-    violation.  They are paired as each block yields them, an odd one
-    carried to the next block.  Per block, the witnesses are the points
-    outside T, then the same and then the cross pairs in violation."""
+    cross pairs (x, -y) and (-x, y) at |x + y|; negation is exact.  Every
+    point is tested against T again in the coordinates its distances are
+    computed from, so a row the sampler mislabels or misindexes, or a pair
+    built wrong, is a violation.  The witnesses are the points outside T,
+    then the same and then the cross pairs in violation, each in draw
+    order, as zero-padded n-vectors."""
+    n = params.n
+    p = _pair_points(params, rng, s, pairs)
+    sq, work, keep, test = s.sq[:pairs], s.u[:pairs], s.keep[:pairs], s.test[:pairs]
     violations = 0
-    min_cross_sq = math.inf
-    max_same_sq = 0.0
     witnesses = []
-    accepted = s.accepted
-    carried = 0
-    for idx, _ in _T_blocks(params, rng, 2 * pairs, s):
-        end = carried + idx.size
-        fresh, m = accepted[carried:end], idx.size
-        np.take(s.points, idx, axis=0, out=fresh, mode="clip")
-        inside = _in_T_mask(params, fresh[:, 0], _sq_norms(fresh, s.sq[:m]), 0.0,
-                            s.keep[:m], s.u[:m], s.test[:m])
+
+    def padded(v):
+        return tuple(float(c) for c in v[:n]) + (0.0,) * (n - 3)
+
+    x, y = p[:, :pairs], p[:, pairs:]
+    for points in (x, y):
+        np.einsum("ij,ij->j", points, points, out=sq)
+        inside = _in_T_mask(params, points[0], sq, 0.0, keep, work, test)
         if not inside.all():
             outside = np.flatnonzero(~inside)
             violations += outside.size
             for i in outside[: _MAX_WITNESSES - len(witnesses)]:
-                witnesses.append((tuple(float(v) for v in fresh[i]), (), "outside",
-                                  math.sqrt(s.sq[i])))
-        # The block's own buffers are free once its points are copied out,
-        # and hold the k <= (rows + 1) // 2 pairs it completes.
-        k = end // 2
-        x, y = accepted[0 : 2 * k : 2], accepted[1 : 2 * k : 2]
-        same = _sq_norms(np.subtract(x, y, out=s.points[:k]), s.sq[:k])
-        cross = _sq_norms(np.add(x, y, out=s.points[:k]), s.u[:k])
-        hi, lo = float(same.max(initial=0.0)), float(cross.min(initial=math.inf))
-        max_same_sq, min_cross_sq = max(max_same_sq, hi), min(min_cross_sq, lo)
-        if math.sqrt(hi) >= 1.0 or math.sqrt(lo) <= 1.0:
-            same, cross = np.sqrt(same), np.sqrt(cross)
-            for tag, dist, bad, seen_y in (("same_component", same, same >= 1.0, y),
-                                           ("cross_component", cross, cross <= 1.0, -y)):
-                bad = np.flatnonzero(bad)
-                violations += bad.size
-                for i in bad[: _MAX_WITNESSES - len(witnesses)]:
-                    witnesses.append((tuple(float(v) for v in x[i]),
-                                      tuple(float(v) for v in seen_y[i]), tag, float(dist[i])))
-        carried = end % 2
-        if carried:
-            accepted[0] = accepted[end - 1]
-    return violations, min_cross_sq, max_same_sq, witnesses
+                witnesses.append((padded(points[:, i]), (), "outside", math.sqrt(sq[i])))
+    d = s.diff[:, :pairs]
+    same = np.einsum("ij,ij->j", np.subtract(x, y, out=d), d, out=sq)
+    cross = np.einsum("ij,ij->j", np.add(x, y, out=d), d, out=work)
+    hi, lo = float(same.max(initial=0.0)), float(cross.min(initial=math.inf))
+    if math.sqrt(hi) >= 1.0 or math.sqrt(lo) <= 1.0:
+        same, cross = np.sqrt(same), np.sqrt(cross)
+        for tag, dist, bad, sign in (("same_component", same, same >= 1.0, 1.0),
+                                     ("cross_component", cross, cross <= 1.0, -1.0)):
+            bad = np.flatnonzero(bad)
+            violations += bad.size
+            for i in bad[: _MAX_WITNESSES - len(witnesses)]:
+                witnesses.append((padded(x[:, i]), padded(sign * y[:, i]), tag, float(dist[i])))
+    return violations, lo, hi, witnesses
 
 
 def pair_audit(config: SamplerConfig) -> AuditReport:
@@ -362,7 +446,7 @@ def pair_audit(config: SamplerConfig) -> AuditReport:
     min_cross_sq = math.inf
     max_same_sq = 0.0
     witnesses = []
-    chunks = _run_chunks(config.seed, _AUDIT_STREAM, config.sample_count, params.n, True,
+    chunks = _run_chunks(config.seed, _AUDIT_STREAM, config.sample_count, True,
                          lambda pairs, rng, s: _audit_chunk(params, pairs, rng, s))
     for bad, lo, hi, found in chunks:
         violations += bad

@@ -184,7 +184,7 @@ class TestVerify:
         _, second = run_cli(capsys, argv)
         assert first == second
 
-    @pytest.mark.parametrize("n", ["64", "1000"])
+    @pytest.mark.parametrize("n", ["64", "1000", "10000"])
     def test_high_dimension_passes(self, n):
         # A fresh interpreter, so a traceback on stderr would show.
         src = os.path.dirname(os.path.dirname(ballavoid.__file__))
@@ -819,7 +819,7 @@ _FLAGS = {
               {"--a": _OFFSET, "--format": _FORMAT,
                "--method": st.sampled_from(["closed_form", "quadrature", "simpson"])}),
     "table": ({}, {"--max-n": _count(200), "--a": _OFFSET, "--format": _FORMAT}),
-    "verify": ({"--n": _count(200), "--pairs": _count(20000), "--samples": _count(20000)},
+    "verify": ({"--n": _count(10000), "--pairs": _count(20000), "--samples": _count(20000)},
                {"--a": _OFFSET, "--seed": st.integers(-1, 2**64).map(str), "--format": _FORMAT}),
     "optimize-a": ({"--n": _count(200)}, {"--format": _FORMAT}),
     "threshold": ({}, {"--a": _OFFSET, "--c-min": _real(1.0, 3.0), "--c-max": _real(1.0, 3.0),

@@ -145,11 +145,9 @@ class TestMembership:
         assert label(p, x) == -label(p, -x)
 
     def test_membership_implies_shell_bounds(self):
-        # Points of T straight from the rejection kernel.
+        # Points of T straight from the rejection sampler.
         p = ConstructionParams(5)
-        s = sampling._Buffers(2048, p.n)
-        rng = np.random.Generator(np.random.PCG64(11))
-        pts = np.concatenate([s.points[idx] for idx, _ in sampling._T_blocks(p, rng, 2000, s)])
+        pts, _ = sampling.sample_T(p, np.random.Generator(np.random.PCG64(11)), 2000)
         norms = np.linalg.norm(pts, axis=1)
         assert pts.shape == (2000, 5)
         assert np.all((pts[:, 0] > 0.5) & (pts[:, 0] < 1.0))

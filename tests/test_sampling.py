@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from ballavoid import sampling
 from ballavoid.construction import ConstructionParams, component
@@ -12,7 +13,6 @@ from ballavoid.errors import DomainError, NumericError
 from ballavoid.sampling import (
     _AUDIT_STREAM,
     _VOLUME_STREAM,
-    CHUNK_ELEMENTS,
     AuditReport,
     SamplerConfig,
     _chunk_rng,
@@ -40,14 +40,21 @@ def ball_points(n, rng, count, radius=1.0):
 
 
 def draw_T(params, rng, count):
-    """count points of T and the acceptance rate, from the rejection kernel
-    the audit draws with; rows are gathered by plain indexing, which
-    rejects an out-of-range index."""
-    s = sampling._Buffers(min(max(count, 2048), sampling._chunk_rows(params.n)), params.n)
-    blocks, rate = [], 0.0
-    for idx, rate in sampling._T_blocks(params, rng, count, s):
-        blocks.append(s.points[idx])
-    return np.concatenate(blocks), rate
+    """count points of T and the acceptance rate, by rejection as sample_T
+    documents it: blocks of min(max(still needed, 2048), max(1, 2^19 // n))
+    uniform points of B(a e_1, 1/2), each kept if component() puts it in
+    T; rows are gathered by plain indexing, which rejects an out-of-range
+    index."""
+    blocks, filled, hits, proposed = [], 0, 0, 0
+    while filled < count:
+        m = min(max(count - filled, 2048), max(1, 2**19 // params.n))
+        y = ball_points(params.n, rng, m, 0.5)
+        y[:, 0] += params.a
+        inside = np.flatnonzero(component(params, y) == 1)
+        hits, proposed = hits + inside.size, proposed + m
+        blocks.append(y[inside[: count - filled]])
+        filled += len(blocks[-1])
+    return np.concatenate(blocks), hits / proposed
 
 
 class TestSamplerConfig:
@@ -104,17 +111,20 @@ class TestSampleT:
 
     def test_keep_mask_is_the_definition(self, monkeypatch):
         # Proposals placed by hand, one outside B(a e_1, 1/2) with x_1 > 1/2
-        # and |x| < 1: the mask must accept exactly the points of T.
+        # and |x| < 1, repeated over the 2048-row block: sample_T must
+        # accept exactly the points of T.
         p = ConstructionParams(2)
         pts = np.array([[0.55, 0.6], [p.a, 0.0], [0.95, 0.4], [0.45, 0.1], [0.8, 0.3]])
 
         def place(rng, g, u, sq, radius):
-            g[:] = pts
+            g[:] = np.resize(pts, g.shape)
             g[:, 0] -= p.a
 
         monkeypatch.setattr(sampling, "_fill_ball", place)
-        keep = sampling._propose(p, None, sampling._Buffers(len(pts), 2), len(pts))
-        assert keep.tolist() == (component(p, pts) == 1).tolist() == [False, True, False, False, True]
+        got, rate = sample_T(p, None, 4)
+        assert (component(p, pts) == 1).tolist() == [False, True, False, False, True]
+        assert got == pytest.approx(pts[[1, 4, 1, 4]], abs=1e-15)
+        assert rate == (2 * (2048 // 5) + 1) / 2048
 
     @pytest.mark.parametrize("n,expected", ACCEPTANCE)
     def test_acceptance_rate(self, n, expected):
@@ -184,7 +194,7 @@ class TestMcVolumeRatio:
         with pytest.raises(NumericError):
             mc_volume_ratio(SamplerConfig(0, 10_000, ConstructionParams(500, 0.99)))
 
-    @pytest.mark.parametrize("n", [2, 64, 256, 1000])
+    @pytest.mark.parametrize("n", [2, 64, 256, 1000, 10000])
     def test_wilson_interval_covers_analytic(self, n):
         # Hit-or-miss in the unit ball gets no hits from n ~ 30 on; the
         # acceptance estimator stays finite and its 3-sigma Wilson
@@ -197,20 +207,83 @@ class TestMcVolumeRatio:
         assert lo <= est.log_value.log_magnitude <= hi
 
 
+def norms(points, axis):
+    return np.sqrt((points * points).sum(axis=axis))
+
+
+class TestReducedCoordinates:
+    """The audit and the volume estimate draw points as (x_1, rho) and pairs
+    in three coordinates; their law is that of sample_T's n-vectors."""
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_keep_mask_is_the_definition(self, n):
+        p = ConstructionParams(n)
+        s = sampling._Buffers()
+        keep = sampling._propose(p, rng_for(30), s, 4096).copy()
+        padded = np.zeros((4096, n))
+        padded[:, 0], padded[:, 1] = s.x1[:4096], s.rho[:4096]
+        assert np.all(np.abs(padded[:, 0] - p.a) ** 2 + padded[:, 1] ** 2 < 0.25)
+        assert 0 < keep.sum() < 4096
+        assert keep.tolist() == (component(p, padded) == 1).tolist()
+
+    def test_zero_angle_normal_is_redrawn(self):
+        # At n = 2, cos phi = h/|h|.  The ziggurat returns h = 0 with
+        # probability 2^-52; it is drawn again, not turned into 0/0 and a
+        # point outside T.
+        class ZeroAngleNormals:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, size=None, out=None):
+                result = self.rng.standard_normal(size, out=out)
+                if out is not None and len(out) < 2048:  # the pairs' h, not a proposal block
+                    out[:10] = 0.0
+                return result
+
+        s = sampling._Buffers(audit=True)
+        violations, _, _, _ = sampling._audit_chunk(ConstructionParams(2), 1000,
+                                                    ZeroAngleNormals(rng_for(32)), s)
+        assert violations == 0
+        assert np.isfinite(s.points[:, :2000]).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_law_matches_sample_T(self, n):
+        # Two-sample Kolmogorov-Smirnov tests on fixed seeds, 2^17 points
+        # and 2^16 pairs a side; sample_T's points are paired in draw order.
+        p = ConstructionParams(n)
+        pairs = sampling.CHUNK_ROWS
+        reduced = sampling._pair_points(p, rng_for(20 + n), sampling._Buffers(audit=True), pairs)
+        ref, _ = sample_T(p, rng_for(40 + n), 2 * pairs)
+        x, y = reduced[:, :pairs], reduced[:, pairs:]
+        ref_x, ref_y = ref[:pairs], ref[pairs:]
+        for name, got, want in (
+            ("x_1", reduced[0], ref[:, 0]),
+            ("|x|^2", norms(reduced, 0) ** 2, norms(ref, 1) ** 2),
+            ("|x - y|", norms(x - y, 0), norms(ref_x - ref_y, 1)),
+            ("|x + y|", norms(x + y, 0), norms(ref_x + ref_y, 1)),
+        ):
+            assert ks_2samp(got, want).pvalue > 1e-3, name
+
+
 # Seeded results of the single-threaded sampler, which every worker count
-# must reproduce bit for bit; the second configuration spans three chunks.
+# must reproduce bit for bit; the first configuration spans four chunks.
 PINNED = [
     (
         SamplerConfig(0, 200_000, ConstructionParams(2)),
-        AuditReport(200_000, 0, 1.002760949313007, 0.9966808390423783, 0),
-        114_439,
+        AuditReport(200_000, 0, 1.000552790464183, 0.9937043713465661, 0),
+        113_840,
     ),
     (
         SamplerConfig(11, 20_000, ConstructionParams(64)),
-        AuditReport(20_000, 0, 1.2385362401408253, 0.845591486320776, 11),
-        19_971,
+        AuditReport(20_000, 0, 1.233754267066863, 0.8390640154732181, 11),
+        19_974,
     ),
 ]
+# Test ids that a re-pin leaves as they are.
+PINNED_IDS = [f"n{cfg.params.n}-seed{cfg.seed}" for cfg, _, _ in PINNED]
 
 
 def use_workers(monkeypatch, count):
@@ -218,17 +291,17 @@ def use_workers(monkeypatch, count):
 
 
 class TestSeededOutput:
-    @pytest.mark.parametrize("cfg,report,hits", PINNED)
+    @pytest.mark.parametrize("cfg,report,hits", PINNED, ids=PINNED_IDS)
     def test_pinned(self, cfg, report, hits):
         assert pair_audit(cfg) == report
         est = mc_volume_ratio(cfg)
         assert (est.hits, est.proposals) == (hits, cfg.sample_count)
 
-    @pytest.mark.parametrize("cfg,report,hits", PINNED)
+    @pytest.mark.parametrize("cfg,report,hits", PINNED, ids=PINNED_IDS)
     def test_pinned_audit_matches_direct_computation(self, cfg, report, hits):
         assert direct_audit(cfg, accept_in_T) == report
 
-    @pytest.mark.parametrize("cfg,report,hits", PINNED)
+    @pytest.mark.parametrize("cfg,report,hits", PINNED, ids=PINNED_IDS)
     def test_independent_of_worker_count(self, monkeypatch, cfg, report, hits):
         results = []
         for workers in (1, 3):
@@ -242,7 +315,7 @@ class TestWorkerThreads:
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # Ten chunks on five workers, switching threads every microsecond:
         # a lost or misplaced chunk summary would change the report.
-        cfg = SamplerConfig(4, 20_000, ConstructionParams(256))
+        cfg = SamplerConfig(4, 10 * sampling.CHUNK_ROWS, ConstructionParams(256))
         use_workers(monkeypatch, 1)
         expected = pair_audit(cfg), mc_volume_ratio(cfg)
         use_workers(monkeypatch, 5)
@@ -253,12 +326,12 @@ class TestWorkerThreads:
         finally:
             sys.setswitchinterval(interval)
 
-    # Three workers on 20000 pairs at n = 64, which span three chunks.
+    # Three workers on three chunks at n = 64.
     @pytest.mark.parametrize("estimator", [pair_audit, mc_volume_ratio])
     def test_threads_joined_after_success(self, monkeypatch, estimator):
         use_workers(monkeypatch, 3)
         before = threading.active_count()
-        estimator(SamplerConfig(0, 20_000, ConstructionParams(64)))
+        estimator(SamplerConfig(0, 3 * sampling.CHUNK_ROWS, ConstructionParams(64)))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("estimator", [pair_audit, mc_volume_ratio])
@@ -290,8 +363,7 @@ class TestWorkerThreads:
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="chunk 0"):
-            list(sampling._run_chunks(0, _AUDIT_STREAM, 4 * sampling._chunk_rows(2), 2, False,
-                                      work))
+            list(sampling._run_chunks(0, _AUDIT_STREAM, 4 * sampling.CHUNK_ROWS, False, work))
         assert threading.active_count() == before
 
     def test_look_ahead_bounded(self, monkeypatch):
@@ -310,8 +382,8 @@ class TestWorkerThreads:
                 overrun.wait(0.2)
             return i
 
-        chunks = iter(sampling._run_chunks(0, _AUDIT_STREAM, 60 * sampling._chunk_rows(2), 2,
-                                           False, work))
+        chunks = iter(sampling._run_chunks(0, _AUDIT_STREAM, 60 * sampling.CHUNK_ROWS, False,
+                                           work))
         assert next(chunks) == 0
         assert len(started) <= 4
         assert list(chunks) == list(range(1, 60))
@@ -341,22 +413,29 @@ class TestPairAudit:
         assert pair_audit(cfg) == pair_audit(cfg)
 
     def test_determinism_across_chunks(self):
-        # 20000 pairs at n = 64 span three chunks, each with its own stream.
-        cfg = SamplerConfig(11, 20_000, ConstructionParams(64))
+        # Three chunks at n = 64, each with its own stream.
+        cfg = SamplerConfig(11, 3 * sampling.CHUNK_ROWS, ConstructionParams(64))
         assert pair_audit(cfg) == pair_audit(cfg)
 
     def test_high_dimension(self):
-        # The element budget gives 2^19 // 1000 = 524 pairs per chunk.
+        # A pair is drawn in three coordinates, at the same cost in every
+        # dimension.
         rep = pair_audit(SamplerConfig(0, 10_000, ConstructionParams(1000)))
         assert rep.violations == 0
         assert rep.min_cross_distance > 1.0
         assert rep.max_same_distance < 1.0
 
-    @pytest.mark.parametrize("n", [2, 8])
+    def test_largest_dimension(self):
+        rep = pair_audit(SamplerConfig(0, 10**5, ConstructionParams(10000)))
+        assert rep.violations == 0
+        assert rep.min_cross_distance > 1.0
+        assert rep.max_same_distance < 1.0
+
+    @pytest.mark.parametrize("n", [2, 8, 10000])
     def test_memory_bounded(self, monkeypatch, n):
         # tracemalloc sees every worker's buffers; two workers keep the
-        # bound independent of the machine.  n = 2 has the longest
-        # per-row vectors (2^18 rows per chunk).
+        # bound independent of the machine.  Every n has the same buffers:
+        # CHUNK_ROWS rows of one to three coordinates.
         use_workers(monkeypatch, 2)
         tracemalloc.start()
         try:
@@ -379,44 +458,55 @@ class TestPairAudit:
 
 
 def direct_audit(cfg, accept):
-    """The audit of cfg computed directly: the same chunk streams and
-    proposal blocks, accept(params, block) giving each block's accepted
-    rows, and every pair x, y checked both ways, |x - y| and |x + y|, on
-    whole chunks at once.  Witnesses follow the audit's order: per block,
-    the points outside T, then the same and then the cross pairs the
-    block completes."""
-    params = cfg.params
+    """The audit of cfg recomputed on whole chunks from the same chunk
+    streams and draws.  Each proposal block is built as zero-padded
+    n-vectors (x_1, rho, 0, ...) of B(a e_1, 1/2), accept(params, block)
+    gives its accepted rows, the first half of a chunk's points are the
+    x's and the second half the y's, each y is rotated by its angle phi in
+    the plane of coordinates 2 and 3, and then every point is labelled by
+    component() and every pair measured both ways by np.linalg.norm.
+    Witnesses follow the audit's order: per chunk, the points outside T,
+    then the same and then the cross pairs."""
+    params, n, a = cfg.params, cfg.params.n, cfg.params.a
+    rows = sampling.CHUNK_ROWS
     violations, witnesses, extremes = 0, [], []
-    chunk_rows = CHUNK_ELEMENTS // params.n
-    for i, start in enumerate(range(0, cfg.sample_count, chunk_rows)):
-        rows = min(chunk_rows, cfg.sample_count - start)
+    for i, start in enumerate(range(0, cfg.sample_count, rows)):
+        k = min(rows, cfg.sample_count - start)
         rng = _chunk_rng(cfg.seed, _AUDIT_STREAM, i)
         blocks, filled = [], 0
-        while filled < 2 * rows:
-            m = min(max(2 * rows - filled, 2048), chunk_rows)
-            y = ball_points(params.n, rng, m, 0.5)
-            y[:, 0] += params.a
-            blocks.append(accept(params, y)[: 2 * rows - filled])
+        while filled < 2 * k:
+            m = min(max(2 * k - filled, 2048), rows)
+            g = rng.standard_normal(m)
+            two_s = 2.0 * rng.standard_gamma((n + 1) / 2, m)
+            w = rng.random(m) ** (2.0 / (n - 1))
+            scale = 0.5 / np.sqrt(g * g + two_s)
+            block = np.zeros((m, n))
+            block[:, 0] = g * scale + a
+            block[:, 1] = np.sqrt(w * two_s) * scale
+            blocks.append(accept(params, block)[: 2 * k - filled])
             filled += blocks[-1].shape[0]
         points = np.concatenate(blocks)
+        h = rng.standard_normal(k)
+        two_p = 2.0 * rng.standard_gamma((n - 2) / 2, k)
+        r = np.sqrt(h * h + two_p)
+        x, y = points[:k], points[k:]
+        rho_y = y[:, 1].copy()
+        y[:, 1] = rho_y * (h / r)
+        if n > 2:
+            y[:, 2] = rho_y * (np.sqrt(two_p) / r)
         outside = component(params, points) != 1
-        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-        x, y = points[0::2], points[1::2]
-        same = np.sqrt(np.einsum("ij,ij->i", x - y, x - y))
-        cross = np.sqrt(np.einsum("ij,ij->i", x + y, x + y))
+        norms = np.linalg.norm(points, axis=1)
+        same = np.linalg.norm(x - y, axis=1)
+        cross = np.linalg.norm(x + y, axis=1)
         violations += int(np.count_nonzero(outside) + np.count_nonzero(same >= 1.0)
                           + np.count_nonzero(cross <= 1.0))
-        start = 0
-        for end in np.cumsum([block.shape[0] for block in blocks]):
-            pairs = range(start // 2, end // 2)
-            found = [(tuple(points[j]), (), "outside", float(norms[j]))
-                     for j in range(start, end) if outside[j]]
-            found += [(tuple(x[j]), tuple(y[j]), "same_component", float(same[j]))
-                      for j in pairs if same[j] >= 1.0]
-            found += [(tuple(x[j]), tuple(-y[j]), "cross_component", float(cross[j]))
-                      for j in pairs if cross[j] <= 1.0]
-            witnesses += found[: 10 - len(witnesses)]
-            start = end
+        found = [(tuple(points[j]), (), "outside", float(norms[j]))
+                 for j in np.flatnonzero(outside)]
+        found += [(tuple(x[j]), tuple(y[j]), "same_component", float(same[j]))
+                  for j in np.flatnonzero(same >= 1.0)]
+        found += [(tuple(x[j]), tuple(-y[j]), "cross_component", float(cross[j]))
+                  for j in np.flatnonzero(cross <= 1.0)]
+        witnesses += found[: 10 - len(witnesses)]
         extremes.append((cross.min(), same.max()))
     return AuditReport(cfg.sample_count, violations, min(lo for lo, _ in extremes),
                        max(hi for _, hi in extremes), cfg.seed, tuple(witnesses))
@@ -429,17 +519,17 @@ def accept_in_T(params, block):
 class TestViolationPath:
     def test_matches_direct_computation(self, monkeypatch):
         # Accept every proposal of B(a e_1, 1/2) but the first of each
-        # block, and move the last one out to x_1 = 10.  Blocks of even size
-        # then accept odd counts, so that point is carried and paired with
-        # the first point of the next block; it is outside S, and
-        # same-component pairs holding it are violations too.
+        # block, and move the last one out to x_1 = 10: it is outside S,
+        # and same-component pairs holding it are violations too.  Chunks
+        # of 2000 pairs make 20000 pairs ten chunks of three blocks each,
+        # small enough for the n-vectors of the direct computation.
         propose = sampling._propose
 
         def accept_all_but_first(params, rng, s, m):
             keep = propose(params, rng, s, m)
             keep[:] = True
             keep[0] = False
-            s.points[m - 1, 0] = 10.0
+            s.x1[m - 1] = 10.0
             return keep
 
         def reference(params, block):
@@ -447,8 +537,9 @@ class TestViolationPath:
             return block[1:]
 
         monkeypatch.setattr(sampling, "_propose", accept_all_but_first)
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", 2000)
         use_workers(monkeypatch, 3)
-        cfg = SamplerConfig(2, 20_000, ConstructionParams(256))  # ten chunks
+        cfg = SamplerConfig(2, 20_000, ConstructionParams(256))
         rep = pair_audit(cfg)
         assert rep.max_same_distance > 8.0
         assert {tag for _, _, tag, _ in rep.violating_pairs} == {"outside", "same_component"}
@@ -458,15 +549,14 @@ class TestViolationPath:
     def test_pair_checked_both_ways(self, monkeypatch):
         # The second point of the first pair becomes -x: |x - y| = 2|x| >= 1
         # and |x + y| = 0, so the pair fails both ways, and -x is outside T.
-        blocks = sampling._T_blocks
+        pair_points = sampling._pair_points
 
-        def mirrored(params, rng, count, s):
-            for k, (idx, rate) in enumerate(blocks(params, rng, count, s)):
-                if k == 0:
-                    s.points[idx[1]] = -s.points[idx[0]]
-                yield idx, rate
+        def mirrored(params, rng, s, pairs):
+            p = pair_points(params, rng, s, pairs)
+            p[:, pairs] = -p[:, 0]
+            return p
 
-        monkeypatch.setattr(sampling, "_T_blocks", mirrored)
+        monkeypatch.setattr(sampling, "_pair_points", mirrored)
         rep = pair_audit(SamplerConfig(0, 10_000, ConstructionParams(2)))
         assert rep.violations == 3
         outside, same, cross = rep.violating_pairs
@@ -484,8 +574,8 @@ class TestViolationPath:
         # stale rows); checking the copies against T itself catches it.
         blocks = sampling._T_blocks
 
-        def shifted(params, rng, count, s):
-            for idx, rate in blocks(params, rng, count, s):
+        def shifted(*args):
+            for idx, rate in blocks(*args):
                 yield idx + 1, rate
 
         monkeypatch.setattr(sampling, "_T_blocks", shifted)
