@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of a
-dimension argument."""
+"""Exception types shared across the package, and the one check of an
+integer argument: a dimension, or a sampler's count."""
 
 import numpy as np
 
@@ -36,9 +36,9 @@ class CertificateError(ValueError):
         self.n_required = n_required
 
 
-def checked_dimension(n, least: int) -> int:
+def checked_dimension(n, least: int, name: str = "dimension") -> int:
     """n as a Python int, when it is an int or numpy integer, not a bool,
-    of at least `least`; DomainError otherwise."""
+    of at least `least`; DomainError naming the argument `name` otherwise."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
-        raise DomainError(f"dimension must be an integer >= {least}, got {n!r}")
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
     return int(n)

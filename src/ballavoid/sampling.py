@@ -1,10 +1,12 @@
 """Seeded Monte Carlo: ball sampling, rejection sampling in T, volume
 estimation, and randomized audits of the distance-avoidance property.
 
-``sample_unit_ball`` and ``sample_T`` return points with all n
-coordinates: a Gaussian direction from numpy's ziggurat generator
+``sample_unit_ball`` and ``sample_T`` are the n-coordinate reference,
+written as their definitions: a uniform point of the unit ball is a
+Gaussian direction from numpy's ziggurat generator
 (``Generator.standard_normal``) on PCG64 bit streams, scaled by a power
-of a uniform variate.
+of a uniform variate, and a point of T is such a point halved and
+shifted by a e_1 that ``component`` puts in T.
 
 The audit and the volume estimate draw in reduced coordinates instead,
 at a cost per point and per pair that does not depend on n.  T is
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import ConstructionParams, _in_T_mask
+from .construction import ConstructionParams, _in_T_mask, component
 from .errors import DomainError, NumericError, checked_dimension
 from .specfun import LogValue
 from .volume import VolumeEstimate
@@ -131,10 +133,6 @@ def _wilson_interval(hits: int, trials: int, z: float) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _sq_norms(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", v, v, out=out)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -167,35 +165,17 @@ class _Buffers:
             self.diff = np.empty((3, rows))
 
 
-def _fill_ball(rng: np.random.Generator, g: np.ndarray, u: np.ndarray, sq: np.ndarray,
-               radius: float) -> None:
-    """Overwrite g (m rows) with uniform points of the open n-ball of the
-    given radius about 0: normalized Gaussian direction scaled by
-    radius * U^(1/n).  u and sq are m-row work arrays.  A power-of-two
-    radius scales exactly, so it commutes with the rounding of the
-    product."""
-    n = g.shape[1]
-    rng.standard_normal(out=g)
-    _sq_norms(g, sq)
-    while not sq.all():  # measure-zero; resample degenerate rows
-        bad = sq == 0.0
-        g[bad] = rng.standard_normal((int(bad.sum()), n))
-        _sq_norms(g, sq)
-    rng.random(out=u)
-    u **= 1.0 / n
-    np.sqrt(sq, out=sq)
-    u /= sq
-    u *= radius
-    g *= u[:, None]
-
-
 def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
     """Uniform points in the open unit n-ball: normalized Gaussian direction
     scaled by U^(1/n).  Returns shape (count, n)."""
-    n = checked_dimension(n, 1)
-    g = np.empty((count, n))
-    _fill_ball(rng, g, np.empty(count), np.empty(count), 1.0)
-    return g
+    n, count = checked_dimension(n, 1), checked_dimension(count, 0, "count")
+    g = rng.standard_normal((count, n))
+    sq = np.einsum("ij,ij->i", g, g)
+    while not sq.all():  # measure-zero; resample degenerate rows
+        bad = sq == 0.0
+        g[bad] = rng.standard_normal((int(bad.sum()), n))
+        sq = np.einsum("ij,ij->i", g, g)
+    return g * (rng.random(count) ** (1.0 / n) / np.sqrt(sq))[:, None]
 
 
 def _T_blocks(
@@ -230,24 +210,22 @@ def sample_T(
     a*e_1; returns (points of shape (count, n), acceptance rate).  The rate
     counts every hit over every proposal, including surplus hits that the
     last block draws beyond `count`."""
-    rows = max(1, _T_BLOCK_ELEMENTS // params.n)
-    y = np.empty((min(max(count, 2048), rows), params.n))
-    u, sq = np.empty(len(y)), np.empty(len(y))
-    keep, test = np.empty(len(y), dtype=bool), np.empty(len(y), dtype=bool)
+    count = checked_dimension(count, 0, "count")
+    y = None
 
     def propose(m):
-        _fill_ball(rng, y[:m], u[:m], sq[:m], 0.5)
-        y[:m, 0] += params.a
-        return _in_T_mask(params, y[:m, 0], _sq_norms(y[:m], sq[:m]), 0.0, keep[:m], u[:m],
-                          test[:m])
+        nonlocal y
+        y = 0.5 * sample_unit_ball(params.n, rng, m)
+        y[:, 0] += params.a
+        return component(params, y) == 1
 
-    accepted = np.empty((count, params.n))
+    points = np.empty((count, params.n))
     filled = 0
     rate = 0.0
-    for idx, rate in _T_blocks(params, count, rows, propose):
-        np.take(y, idx, axis=0, out=accepted[filled : filled + idx.size], mode="clip")
+    for idx, rate in _T_blocks(params, count, max(1, _T_BLOCK_ELEMENTS // params.n), propose):
+        points[filled : filled + idx.size] = y[idx]
         filled += idx.size
-    return accepted, rate
+    return points, rate
 
 
 def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, m: int):

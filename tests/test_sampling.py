@@ -32,11 +32,8 @@ def rng_for(seed):
 
 
 def ball_points(n, rng, count, radius=1.0):
-    """count uniform points of the open n-ball of the given radius, from
-    the kernel every sampler draws its proposals with."""
-    g = np.empty((count, n))
-    sampling._fill_ball(rng, g, np.empty(count), np.empty(count), radius)
-    return g
+    """count uniform points of the open n-ball of the given radius."""
+    return radius * sample_unit_ball(n, rng, count)
 
 
 def draw_T(params, rng, count):
@@ -116,11 +113,10 @@ class TestSampleT:
         p = ConstructionParams(2)
         pts = np.array([[0.55, 0.6], [p.a, 0.0], [0.95, 0.4], [0.45, 0.1], [0.8, 0.3]])
 
-        def place(rng, g, u, sq, radius):
-            g[:] = np.resize(pts, g.shape)
-            g[:, 0] -= p.a
+        def place(n, rng, count):
+            return 2.0 * (np.resize(pts, (count, n)) - [p.a, 0.0])
 
-        monkeypatch.setattr(sampling, "_fill_ball", place)
+        monkeypatch.setattr(sampling, "sample_unit_ball", place)
         got, rate = sample_T(p, None, 4)
         assert (component(p, pts) == 1).tolist() == [False, True, False, False, True]
         assert got == pytest.approx(pts[[1, 4, 1, 4]], abs=1e-15)
@@ -153,9 +149,12 @@ class TestPublicSamplers:
         assert pts.shape == (3000, n)
         assert np.all(component(p, pts) == 1)
 
-    @pytest.mark.parametrize("count", [1, 3000, 70_000])
-    def test_T_matches_rejection_kernel(self, count):
-        p = ConstructionParams(3)
+    # At n = 1000 and 10000 blocks hold 524 and 52 rows, so a draw spans
+    # several blocks.
+    @pytest.mark.parametrize("n,count", [(3, 1), (3, 3000), (3, 70_000), (2, 5000),
+                                         (1000, 3000), (10000, 300)])
+    def test_T_matches_rejection_kernel(self, n, count):
+        p = ConstructionParams(n)
         pts, rate = sample_T(p, rng_for(12), count)
         ref, ref_rate = draw_T(p, rng_for(12), count)
         assert pts.tobytes() == ref.tobytes()
@@ -165,6 +164,22 @@ class TestPublicSamplers:
         pts, rate = sample_T(ConstructionParams(4), rng_for(13), 0)
         assert pts.shape == (0, 4)
         assert rate == 0.0
+
+    @pytest.mark.parametrize("count", [-1, 2.5, True])
+    @pytest.mark.parametrize("draw", [
+        pytest.param(lambda rng, count: sample_unit_ball(3, rng, count), id="unit_ball"),
+        pytest.param(lambda rng, count: sample_T(ConstructionParams(3), rng, count), id="T"),
+    ])
+    def test_bad_count_is_domain_error(self, draw, count):
+        with pytest.raises(DomainError, match="count"):
+            draw(rng_for(14), count)
+
+    def test_T_acceptance_floor(self):
+        # At a = 0.99 almost no point of B(a e_1, 1/2) lies in the unit
+        # ball in high n.
+        with pytest.raises(NumericError) as err:
+            sample_T(ConstructionParams(500, 0.99), rng_for(15), 1)
+        assert err.value.best_estimate == 0.0
 
 
 class TestMcVolumeRatio:
