@@ -15,7 +15,10 @@ symmetric about the e_1 axis, and membership depends only on x_1 and
 each point of B(a e_1, 1/2) is drawn as x_1 and rho = |x - x_1 e_1| from
 four one-dimensional variates (see _propose), and each pair as the
 3-vectors x = (x_1, rho_x, 0) and y = (y_1, rho_y cos phi, rho_y sin phi)
-(see _pair_points); the other n - 3 coordinates are zero.
+(see _pair_points); the other n - 3 coordinates are zero.  The audit
+stores a chunk as the first two coordinates of its points and the third
+of its y's, and forms squared distances row by row in the proposal
+block's buffers, which are free by then.
 
 They draw in chunks of CHUNK_ROWS rows (pairs in the audit, proposals in
 the volume estimate) and fold each chunk into running totals, so memory
@@ -149,8 +152,9 @@ def _chunk_rng(seed: int, stream: int, i: int) -> np.random.Generator:
 class _Buffers:
     """One worker's buffers, reused for every chunk it runs: a proposal
     block of up to CHUNK_ROWS points in reduced coordinates with its work
-    arrays and, for the audit, the first three coordinates of a chunk's
-    points and of their differences."""
+    arrays and, for the audit, the first two coordinates of a chunk's
+    points (x's, then y's) and the third coordinate of its y's.  The x's
+    third coordinate is zero and is not stored."""
 
     def __init__(self, audit: bool = False):
         rows = CHUNK_ROWS
@@ -161,8 +165,8 @@ class _Buffers:
         self.keep = np.empty(rows, dtype=bool)
         self.test = np.empty(rows, dtype=bool)
         if audit:
-            self.points = np.empty((3, 2 * rows))
-            self.diff = np.empty((3, rows))
+            self.points = np.empty((2, 2 * rows))
+            self.y3 = np.empty(rows)
 
 
 def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
@@ -201,6 +205,7 @@ def _T_blocks(
         idx = idx[: count - filled]
         filled += idx.size
         yield idx, hits / proposed
+        del idx  # free before the next block is drawn
 
 
 def sample_T(
@@ -325,10 +330,11 @@ def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
 
 
 def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffers,
-                 pairs: int) -> np.ndarray:
-    """Draw `pairs` pairs x, y of uniform points of T; return the first
-    three coordinates of the x's and then of the y's, as the columns of a
-    (3, 2 pairs) view of s.points.  The other n - 3 coordinates are zero.
+                 pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `pairs` pairs x, y of uniform points of T; return the first two
+    coordinates of the x's and then of the y's, as the columns of a
+    (2, 2 pairs) view of s.points, and the third coordinates of the y's, a
+    view of s.y3.  The x's third coordinate and all the others are zero.
 
     Each point comes from the rejection sampler as (x_1, rho, 0).  A
     rotation about e_1 preserves T and every distance, and turns the parts
@@ -337,34 +343,34 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
     is distributed as the first coordinate of a uniform point of S^(n-2):
     h/sqrt(h^2 + 2P) for h ~ N(0, 1) and P ~ Gamma((n-2)/2), with
     sin phi = sqrt(2P)/sqrt(h^2 + 2P).  At n = 2, P = 0 and cos phi = +-1."""
-    p = s.points[:, : 2 * pairs]
+    p, y3 = s.points[:, : 2 * pairs], s.y3[:pairs]
     filled = 0
     for idx, _ in _T_blocks(params, 2 * pairs, CHUNK_ROWS, lambda m: _propose(params, rng, s, m)):
         end = filled + idx.size
         np.take(s.x1, idx, out=p[0, filled:end], mode="clip")
         np.take(s.rho, idx, out=p[1, filled:end], mode="clip")
         filled = end
+        del idx  # free before the next block is drawn
     # The block's buffers are free once its points are copied out.
-    x, y = p[:, :pairs], p[:, pairs:]
+    rho_y = p[1, pairs:]
     h, r = s.x1[:pairs], s.sq[:pairs]
     rng.standard_normal(out=h)
-    rng.standard_gamma((params.n - 2) / 2, out=y[2])
-    y[2] += y[2]  # 2P
+    rng.standard_gamma((params.n - 2) / 2, out=y3)
+    y3 += y3  # 2P
     np.multiply(h, h, out=r)
-    r += y[2]
+    r += y3
     while not r.all():  # measure-zero (h = 0 at n = 2); redraw those h
         bad = r == 0.0
         h[bad] = rng.standard_normal(int(bad.sum()))
         np.multiply(h, h, out=r)
-        r += y[2]
+        r += y3
     np.sqrt(r, out=r)
-    np.sqrt(y[2], out=y[2])
-    y[2] /= r  # sin phi
-    y[2] *= y[1]
+    np.sqrt(y3, out=y3)
+    y3 /= r  # sin phi
+    y3 *= rho_y
     h /= r  # cos phi
-    y[1] *= h
-    x[2] = 0.0
-    return p
+    rho_y *= h
+    return p, y3
 
 
 def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generator,
@@ -379,28 +385,40 @@ def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generato
     computed from, so a row the sampler mislabels or misindexes, or a pair
     built wrong, is a violation.  The witnesses are the points outside T,
     then the same and then the cross pairs in violation, each in draw
-    order, as zero-padded n-vectors."""
+    order, as zero-padded n-vectors.
+
+    Squared norms and distances are summed coordinate by coordinate in the
+    proposal block's buffers, which are free once the pairs are drawn;
+    the x's third coordinate is zero and is left out of every sum."""
     n = params.n
-    p = _pair_points(params, rng, s, pairs)
+    p, y3 = _pair_points(params, rng, s, pairs)
     sq, work, keep, test = s.sq[:pairs], s.u[:pairs], s.keep[:pairs], s.test[:pairs]
+    t, d1 = s.x1[:pairs], s.rho[:pairs]
     violations = 0
     witnesses = []
 
-    def padded(v):
-        return tuple(float(c) for c in v[:n]) + (0.0,) * (n - 3)
+    def sum_sq(coords, out):
+        np.square(coords[0], out=out)
+        for c in coords[1:]:
+            out += np.square(c, out=t)
+        return out
 
-    x, y = p[:, :pairs], p[:, pairs:]
-    for points in (x, y):
-        np.einsum("ij,ij->j", points, points, out=sq)
-        inside = _in_T_mask(params, points[0], sq, 0.0, keep, work, test)
+    def padded(point, i, sign=1.0):
+        coords = tuple(float(sign * c[i]) for c in point[:n])
+        return coords + (0.0,) * (n - len(coords))
+
+    x, y = (p[0, :pairs], p[1, :pairs]), (p[0, pairs:], p[1, pairs:], y3)
+    for point in (x, y):
+        sum_sq(point, sq)
+        inside = _in_T_mask(params, point[0], sq, 0.0, keep, work, test)
         if not inside.all():
             outside = np.flatnonzero(~inside)
             violations += outside.size
             for i in outside[: _MAX_WITNESSES - len(witnesses)]:
-                witnesses.append((padded(points[:, i]), (), "outside", math.sqrt(sq[i])))
-    d = s.diff[:, :pairs]
-    same = np.einsum("ij,ij->j", np.subtract(x, y, out=d), d, out=sq)
-    cross = np.einsum("ij,ij->j", np.add(x, y, out=d), d, out=work)
+                witnesses.append((padded(point, i), (), "outside", math.sqrt(sq[i])))
+    # (x_3 -+ y_3)^2 = y_3^2: x's third coordinate is zero.
+    same = sum_sq((np.subtract(x[0], y[0], out=sq), np.subtract(x[1], y[1], out=d1), y3), sq)
+    cross = sum_sq((np.add(x[0], y[0], out=work), np.add(x[1], y[1], out=d1), y3), work)
     hi, lo = float(same.max(initial=0.0)), float(cross.min(initial=math.inf))
     if math.sqrt(hi) >= 1.0 or math.sqrt(lo) <= 1.0:
         same, cross = np.sqrt(same), np.sqrt(cross)
@@ -409,7 +427,7 @@ def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generato
             bad = np.flatnonzero(bad)
             violations += bad.size
             for i in bad[: _MAX_WITNESSES - len(witnesses)]:
-                witnesses.append((padded(x[:, i]), padded(sign * y[:, i]), tag, float(dist[i])))
+                witnesses.append((padded(x, i), padded(y, i, sign), tag, float(dist[i])))
     return violations, lo, hi, witnesses
 
 

@@ -262,7 +262,7 @@ class TestReducedCoordinates:
         violations, _, _, _ = sampling._audit_chunk(ConstructionParams(2), 1000,
                                                     ZeroAngleNormals(rng_for(32)), s)
         assert violations == 0
-        assert np.isfinite(s.points[:, :2000]).all()
+        assert np.isfinite(s.points[:, :2000]).all() and np.isfinite(s.y3[:1000]).all()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_law_matches_sample_T(self, n):
@@ -270,7 +270,9 @@ class TestReducedCoordinates:
         # and 2^16 pairs a side; sample_T's points are paired in draw order.
         p = ConstructionParams(n)
         pairs = sampling.CHUNK_ROWS
-        reduced = sampling._pair_points(p, rng_for(20 + n), sampling._Buffers(audit=True), pairs)
+        first_two, y3 = sampling._pair_points(p, rng_for(20 + n), sampling._Buffers(audit=True),
+                                              pairs)
+        reduced = np.vstack([first_two, np.concatenate([np.zeros(pairs), y3])])
         ref, _ = sample_T(p, rng_for(40 + n), 2 * pairs)
         x, y = reduced[:, :pairs], reduced[:, pairs:]
         ref_x, ref_y = ref[:pairs], ref[pairs:]
@@ -284,7 +286,8 @@ class TestReducedCoordinates:
 
 
 # Seeded results of the single-threaded sampler, which every worker count
-# must reproduce bit for bit; the first configuration spans four chunks.
+# must reproduce bit for bit; the first configuration spans four chunks,
+# and the last draws its angles from Gamma shapes near 5000.
 PINNED = [
     (
         SamplerConfig(0, 200_000, ConstructionParams(2)),
@@ -296,9 +299,18 @@ PINNED = [
         AuditReport(20_000, 0, 1.233754267066863, 0.8390640154732181, 11),
         19_974,
     ),
+    (
+        SamplerConfig(10, 20_000, ConstructionParams(10000)),
+        AuditReport(20_000, 0, 1.5318500867652811, 0.7204454606414054, 10),
+        20_000,
+    ),
 ]
 # Test ids that a re-pin leaves as they are.
 PINNED_IDS = [f"n{cfg.params.n}-seed{cfg.seed}" for cfg, _, _ in PINNED]
+# The direct computation holds every point as an n-vector: at n = 10000
+# a proposal block alone would take 3.2 GB.
+DIRECT = [pin for pin in PINNED if pin[0].params.n <= 64]
+DIRECT_IDS = [f"n{cfg.params.n}-seed{cfg.seed}" for cfg, _, _ in DIRECT]
 
 
 def use_workers(monkeypatch, count):
@@ -312,7 +324,7 @@ class TestSeededOutput:
         est = mc_volume_ratio(cfg)
         assert (est.hits, est.proposals) == (hits, cfg.sample_count)
 
-    @pytest.mark.parametrize("cfg,report,hits", PINNED, ids=PINNED_IDS)
+    @pytest.mark.parametrize("cfg,report,hits", DIRECT, ids=DIRECT_IDS)
     def test_pinned_audit_matches_direct_computation(self, cfg, report, hits):
         assert direct_audit(cfg, accept_in_T) == report
 
@@ -461,6 +473,25 @@ class TestPairAudit:
         assert rep.violations == 0
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("n", [5, 10000])
+    def test_chunk_working_set(self, n):
+        # A chunk holds its worker's buffers and at most one proposal
+        # block's index array at a time; 16 KiB covers views, frames and
+        # scalars.  The generator is made first: numpy imports its random
+        # module on first use.
+        p = ConstructionParams(n)
+        rng = rng_for(50)
+        tracemalloc.start()
+        try:
+            s = sampling._Buffers(audit=True)
+            sampling._audit_chunk(p, sampling.CHUNK_ROWS, rng, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffers = sum(a.nbytes for a in vars(s).values())
+        index = np.dtype(np.intp).itemsize * sampling.CHUNK_ROWS
+        assert peak <= buffers + index + 2**14
+
     def test_minimum_pair_count(self):
         with pytest.raises(DomainError):
             pair_audit(SamplerConfig(0, 100, ConstructionParams(2)))
@@ -567,9 +598,10 @@ class TestViolationPath:
         pair_points = sampling._pair_points
 
         def mirrored(params, rng, s, pairs):
-            p = pair_points(params, rng, s, pairs)
+            p, y3 = pair_points(params, rng, s, pairs)
             p[:, pairs] = -p[:, 0]
-            return p
+            y3[0] = -0.0  # x's third coordinate is 0
+            return p, y3
 
         monkeypatch.setattr(sampling, "_pair_points", mirrored)
         rep = pair_audit(SamplerConfig(0, 10_000, ConstructionParams(2)))
