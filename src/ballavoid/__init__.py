@@ -8,7 +8,7 @@ from .concentration import best_certificate, concentration_bound, minimal_certif
 from .construction import CANONICAL_OFFSET, ConstructionParams, component, equidistance_residual
 from .errors import CertificateError, DomainError, NumericError
 from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
-from .specfun import LogValue, slab_fraction
+from .specfun import slab_fraction
 from .volume import maximize_a, ratio_S, ratio_table
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "CertificateError",
     "ConstructionParams",
     "DomainError",
-    "LogValue",
     "NumericError",
     "SamplerConfig",
     "best_certificate",

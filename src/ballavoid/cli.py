@@ -32,7 +32,7 @@ from .construction import (
 )
 from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
-from .sampling import _Z99, SamplerConfig, mc_volume_ratio, pair_audit
+from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
 from .volume import (MAX_DIMENSION, RatioTable, _sign_change_exact, maximize_a, ratio_S, ratio_table,
                      vol_T_closed_form)
@@ -44,6 +44,8 @@ from .volume import (MAX_DIMENSION, RatioTable, _sign_change_exact, maximize_a, 
 # so beyond n ~ 300 the drop is below the log volume's rounding and the
 # check can no longer fail.
 _LOCAL_MAX_STEP = 1e-3
+
+_Z99 = 2.5758293035489004  # 99% two-sided normal quantile, verify's interval level
 
 
 def _g10(x) -> str:
@@ -217,7 +219,7 @@ def cmd_verify(args) -> int:
         "max_same_distance": report.max_same_distance,
         "mc_ratio": mc.log_value.linear(),
         "mc_log_ratio": mc.log_value.log_magnitude,
-        "mc_ci99_half_width": mc.error_bound,
+        "mc_ci99_half_width": mc.half_width(_Z99),
         "mc_log_ci99_low": log_ci99_low,
         "mc_log_ci99_high": log_ci99_high,
         "analytic_ratio": row.ratio,

@@ -54,10 +54,6 @@ import numpy as np
 from .construction import ConstructionParams, _in_T_mask, component
 from .errors import DomainError, NumericError, checked_dimension
 from .specfun import LogValue
-from .volume import VolumeEstimate
-
-# 99% two-sided normal quantile, for the Wilson CI half-width.
-_Z99 = 2.5758293035489004
 
 # Rows of a chunk (pairs in the audit, proposals in the volume estimate),
 # and the most proposals in one of the audit's rejection blocks.
@@ -84,10 +80,11 @@ class SamplerConfig:
     params: ConstructionParams
 
     def __post_init__(self):
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.sample_count, (int, np.integer)) and self.sample_count > 0):
-            raise DomainError(f"sample_count must be positive, got {self.sample_count!r}")
+        seed, count = self.seed, self.sample_count  # an int or numpy integer, not a bool
+        if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count > 0):
+            raise DomainError(f"sample_count must be positive, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -111,13 +108,19 @@ class AuditReport:
 
 
 @dataclass(frozen=True)
-class AcceptanceEstimate(VolumeEstimate):
-    """Monte Carlo vol S / vol B = 2 (1/2)^n q, where q is the fraction of
-    `proposals` uniform points of B(a e_1, 1/2) that land in T."""
+class AcceptanceEstimate:
+    """Counts of the Monte Carlo volume estimate: `hits` of `proposals`
+    uniform points of B(a e_1, 1/2) in dimension n land in T.  The ratio
+    vol S / vol B = 2 (1/2)^n q, q = hits / proposals, derives from them."""
 
     n: int
     hits: int
     proposals: int
+
+    @property
+    def log_value(self) -> LogValue:
+        """Natural log of the estimated ratio, 2 (1/2)^n q."""
+        return LogValue(math.log(self.hits / self.proposals) + (1 - self.n) * math.log(2.0))
 
     def log_interval(self, z: float) -> tuple[float, float]:
         """Natural-log bounds of the ratio from the Wilson score interval
@@ -126,6 +129,13 @@ class AcceptanceEstimate(VolumeEstimate):
         lo, hi = _wilson_interval(self.hits, self.proposals, z)
         shift = (1 - self.n) * math.log(2.0)
         return (math.log(lo) + shift if lo > 0.0 else -math.inf), math.log(hi) + shift
+
+    def half_width(self, z: float) -> float:
+        """Linear half-width of the ratio's Wilson score interval at z standard
+        deviations: 2 (1/2)^n max(hi - q, q - lo), 0 where that underflows."""
+        q = self.hits / self.proposals
+        lo, hi = _wilson_interval(self.hits, self.proposals, z)
+        return math.ldexp(max(hi - q, q - lo), 1 - self.n)
 
 
 def _wilson_interval(hits: int, trials: int, z: float) -> tuple[float, float]:
@@ -301,8 +311,7 @@ def _run_chunks(seed: int, stream: int, total: int, audit: bool, work) -> Iterat
 
 def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
     """Monte Carlo estimate of vol S / vol B from the acceptance fraction of
-    sample_count proposals in B(a e_1, 1/2); error_bound is the 99% Wilson
-    CI half-width on the linear scale."""
+    sample_count proposals in B(a e_1, 1/2)."""
     if config.sample_count < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {config.sample_count}")
     params = config.params
@@ -316,17 +325,7 @@ def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
             f"no proposal of {config.sample_count} landed in T at a={params.a!r}",
             best_estimate=0.0,
         )
-    trials = config.sample_count
-    q = hits / trials
-    lo, hi = _wilson_interval(hits, trials, _Z99)
-    return AcceptanceEstimate(
-        log_value=LogValue(math.log(q) + (1 - params.n) * math.log(2.0)),
-        method="monte_carlo",
-        error_bound=math.ldexp(max(hi - q, q - lo), 1 - params.n),
-        n=params.n,
-        hits=hits,
-        proposals=trials,
-    )
+    return AcceptanceEstimate(params.n, hits, config.sample_count)
 
 
 def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffers,

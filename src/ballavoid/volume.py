@@ -51,14 +51,11 @@ CLOSED_FORM_REL_ERROR = 1e-14
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """A log-domain volume with its method tag and error bound.
-
-    error_bound is absolute on the log scale for the deterministic methods
-    and a 99% CI half-width (linear scale) for monte_carlo.
-    """
+    """A log-domain volume with its method tag and error_bound, an absolute
+    bound on the error of log_value."""
 
     log_value: LogValue
-    method: str  # quadrature | closed_form | monte_carlo
+    method: str  # quadrature | closed_form
     error_bound: float
 
     def __post_init__(self):

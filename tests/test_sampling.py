@@ -65,6 +65,18 @@ class TestSamplerConfig:
         with pytest.raises(DomainError):
             SamplerConfig(0, 0, ConstructionParams(2))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected(self, flag):
+        # bool subclasses int, but True is not seed 1 nor a count of 1.
+        with pytest.raises(DomainError, match=f"seed must be a 64-bit unsigned integer, got {flag}"):
+            SamplerConfig(flag, 10**4, ConstructionParams(2))
+        with pytest.raises(DomainError, match=f"sample_count must be positive, got {flag}"):
+            SamplerConfig(0, flag, ConstructionParams(2))
+
+    def test_numpy_integers_accepted(self):
+        cfg = SamplerConfig(np.uint64(2**64 - 1), np.int64(10**4), ConstructionParams(2))
+        assert (cfg.seed, cfg.sample_count) == (2**64 - 1, 10**4)
+
 
 class TestSampleUnitBall:
     def test_all_inside(self):
@@ -194,15 +206,27 @@ class TestMcVolumeRatio:
         analytic = ratio_S(n).ratio
         sigma = math.sqrt(analytic * (1 - analytic) / cfg.sample_count)
         assert abs(est.log_value.linear() - analytic) <= 3 * sigma
-        assert est.method == "monte_carlo"
-        assert est.error_bound > 0
+        assert est.half_width(2.5758293035489004) > 0
 
     def test_determinism(self):
         cfg = SamplerConfig(7, 20_000, ConstructionParams(2))
         a = mc_volume_ratio(cfg)
         b = mc_volume_ratio(cfg)
         assert a.log_value.log_magnitude == b.log_value.log_magnitude
-        assert a.error_bound == b.error_bound
+        assert a.half_width(2.5758293035489004) == b.half_width(2.5758293035489004)
+
+    @pytest.mark.parametrize("n", [2, 10000])
+    def test_memory_bounded(self, monkeypatch, n):
+        # As TestPairAudit.test_memory_bounded, with one proposal block of
+        # buffers per worker and no points kept.
+        use_workers(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            mc_volume_ratio(SamplerConfig(0, 10**6, ConstructionParams(n)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_no_hits_is_numeric_error(self):
         # At a = 0.99 the proposal ball leaves the unit ball in high n.
@@ -471,7 +495,7 @@ class TestPairAudit:
         finally:
             tracemalloc.stop()
         assert rep.violations == 0
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("n", [5, 10000])
     def test_chunk_working_set(self, n):
