@@ -22,8 +22,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .concentration import certifying_constants, concentration_bound, minimal_certified_n
 from .construction import (
     CANONICAL_OFFSET,
@@ -32,7 +30,6 @@ from .construction import (
 )
 from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
-from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
 from .specfun import slab_fraction
 from .volume import (MAX_DIMENSION, RatioTable, _sign_change_exact, maximize_a, ratio_S, ratio_table,
                      vol_T_closed_form)
@@ -106,6 +103,8 @@ def _rows_json(table: RatioTable) -> str:
     -Infinity.  The spellings are scattered into a (runs x 8) array of
     cells and separators; a longer run's n cell joins its dimensions with
     the run's own text, the cells after n and the break to the next row."""
+    import numpy as np
+
     floats = np.stack((table.ratio, table.scaled, table.margin)).view(np.int64)
     # Run k is rows bounds[k]:bounds[k + 1].
     split = np.ones(table.n.size + 1, dtype=bool)
@@ -199,6 +198,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here: sampling loads numpy, which no other subcommand's
+    # start-up needs.
+    from .sampling import SamplerConfig, mc_volume_ratio, pair_audit
+
     params = ConstructionParams(args.n, args.a)
     report = pair_audit(SamplerConfig(args.seed, args.pairs, params))
     mc = mc_volume_ratio(SamplerConfig(args.seed, args.samples, params))

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar
 
 from .errors import DomainError, GeometryError, checked_dimension
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Offset of the small-ball center along e_1 that maximizes the volume of T:
 #: the root (1 + sqrt 10)/6 of 3a^2 - a - 3/4 = 0 in (1/2, 1), as the nearest
@@ -85,6 +86,8 @@ def _in_T_mask(params: ConstructionParams, x1: np.ndarray, sq: np.ndarray, eps: 
     with (t, r, R) from _tightened; strict at eps = 0 and non-strict for
     eps > 0 (the closed inner approximation).  work (float) and test (bool)
     are scratch arrays shaped like x1."""
+    import numpy as np
+
     t, r, outer = _tightened(params, eps)
     a = params.a
     less = np.less if eps == 0.0 else np.less_equal
@@ -100,6 +103,8 @@ def component(params: ConstructionParams, X, eps: float = 0.0) -> np.ndarray:
     """Component labels of the points X (shape (..., n)) as int8: +1 in T,
     -1 in -T, 0 outside S.  With eps > 0 the closed inner approximation
     (every inequality tightened by eps) is tested instead."""
+    import numpy as np
+
     X = np.asarray(X, dtype=float)
     if X.ndim == 0 or X.shape[-1] != params.n:
         raise DomainError(f"points have shape {X.shape}, expected (..., {params.n})")

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the one check of an
 integer argument: a dimension, or a sampler's count."""
 
-import numpy as np
+import numbers
 
 
 class DomainError(ValueError):
@@ -37,8 +37,9 @@ class CertificateError(ValueError):
 
 
 def checked_dimension(n, least: int, name: str = "dimension") -> int:
-    """n as a Python int, when it is an int or numpy integer, not a bool,
-    of at least `least`; DomainError naming the argument `name` otherwise."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+    """n as a Python int, when it is an integer (an int or numpy integer,
+    both numbers.Integral), not a bool, of at least `least`; DomainError
+    naming the argument `name` otherwise."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
     return int(n)

@@ -43,10 +43,12 @@ chunk's exception is the one raised.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from collections import deque
 from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +82,10 @@ class SamplerConfig:
     params: ConstructionParams
 
     def __post_init__(self):
-        seed, count = self.seed, self.sample_count  # an int or numpy integer, not a bool
-        if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        seed, count = self.seed, self.sample_count  # integers as checked_dimension takes them
+        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count > 0):
+        if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count > 0):
             raise DomainError(f"sample_count must be positive, got {count!r}")
 
 
@@ -282,10 +284,6 @@ def _run_chunks(seed: int, stream: int, total: int, audit: bool, work) -> Iterat
     one set of buffers.  At most two chunks per thread are submitted and
     not yet yielded.  The lowest failing chunk's exception is raised, and
     every thread is joined before this finishes or raises."""
-    # Imported here, not at the top: with the logging it imports, it adds
-    # 5-10 ms to a start-up, which only verify needs to pay.
-    from concurrent.futures import ThreadPoolExecutor
-
     rows = CHUNK_ROWS
     chunks = -(-total // rows)
     workers = min(_usable_cpus(), chunks)

@@ -8,11 +8,14 @@ n ~ 1470 and 2^-n scale ratios lose precision far earlier.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError, checked_dimension
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Cap fractions whose incomplete-beta front factor lies below exp(this) are
 # carried as logs.  A cap is front * h / (n + 1) with h >= 1, so above it
@@ -89,14 +92,16 @@ def _log_gamma_half_ratio(x):
     series 1/2 log x - 1/(8x) + 1/(192x^3) + 1/(640x^5) - 17/(14336x^7)
     (DLMF 5.11.13).  Against 40-digit mpmath at x = (n + 1)/2 and n/2 + 1,
     n = 2..10000: within 3.3e-15 on the series, 4.4e-13 below it."""
-    array = isinstance(x, np.ndarray)
-    if not array and x < _SERIES_FROM:
+    scalar = isinstance(x, numbers.Real)
+    if not scalar:
+        import numpy as np
+    elif x < _SERIES_FROM:
         return math.lgamma(x + 0.5) - math.lgamma(x)
     y = 1.0 / x
     y2 = y * y
-    r = 0.5 * (np.log(x) if array else math.log(x)) - y * (
+    r = 0.5 * (math.log(x) if scalar else np.log(x)) - y * (
         0.125 - y2 * (1.0 / 192.0 + y2 * (1.0 / 640.0 - y2 * (17.0 / 14336.0))))
-    if array:
+    if not scalar:
         direct = x < _SERIES_FROM
         r[direct] = [math.lgamma(v + 0.5) - math.lgamma(v) for v in x[direct].tolist()]
     return r
@@ -198,6 +203,8 @@ def _log_ball_cap_fractions(n_min: int, t: float, log_coef: np.ndarray) -> np.nd
     so that deep caps do not underflow, to a seed at their top.  The seeds
     come from the scalar routines, which choose the branch by the same rule.
     """
+    import numpy as np
+
     rows = np.arange(log_coef.size)
     alpha = 0.5 * (n_min + rows + 1.0)
     z = (1.0 - t) * (1.0 + t)

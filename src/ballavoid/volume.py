@@ -18,21 +18,36 @@ log scale relative to its peak, so one code path serves every n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .construction import CANONICAL_OFFSET, ConstructionParams, chord_coordinate
 from .errors import DomainError, NumericError, checked_dimension
 from .specfun import (LogValue, _log_ball_cap_fraction, _log_ball_cap_fractions, _log_gamma_half_ratio,
                       unit_ball_volume)
 
+if TYPE_CHECKING:
+    import numpy as np
+
 LOG_HALF = math.log(0.5)
 LOG_TWO = math.log(2.0)
 LOG_PI = math.log(math.pi)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# The 15-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(15)
+# to the bit (tests/test_volume.py checks it); the quadrature route needs no numpy.
+_GL_NODES = (
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+)
+_GL_WEIGHTS = (
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+)
 
 # The quadrature route's one relative tolerance.  A looser one saves little
 # time, and a tighter one no accuracy: from n ~ 500 up the rounding floor
@@ -91,8 +106,9 @@ class RatioTable(NamedTuple):
 
 def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int = 4096):
     """Integrate f on [lo, hi] by 15-point Gauss-Legendre on 1, 2, 4, ...
-    equal panels, every node of a level in one call of f, until two
-    levels agree to tol relative.
+    equal panels, every node of a level in one call of f (a list of floats
+    in, an iterable of as many floats out), until two levels agree to tol
+    relative.  Each level's weighted sum is taken by math.fsum.
 
     Returns (value, error_estimate), the estimate being the last
     difference of levels; raises NumericError (carrying the best estimate
@@ -104,8 +120,8 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int
     panels = 1
     while panels <= max_panels:
         width = (hi - lo) / panels
-        x = lo + width * (np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_NODES))
-        fine = 0.5 * width * float((f(x) @ _GL_WEIGHTS).sum())
+        x = [lo + width * (k + 0.5 * (1.0 + t)) for k in range(panels) for t in _GL_NODES]
+        fine = 0.5 * width * math.fsum(map(operator.mul, _GL_WEIGHTS * panels, f(x)))
         err = abs(fine - value)
         if err <= tol * abs(fine):
             return fine, err
@@ -131,7 +147,7 @@ def _log_cos_power(n: int, lo: float, hi: float):
     reach = math.sqrt(slope * slope + 2.0 * 60.0 / n) - abs(slope)
 
     def g(d):
-        return np.exp(n * np.log1p(-2.0 * np.sin(0.5 * d) ** 2 - slope * np.sin(d)))
+        return [math.exp(n * math.log1p(-2.0 * math.sin(0.5 * t) ** 2 - slope * math.sin(t))) for t in d]
 
     value, err = adaptive_gauss_legendre(g, max(lo - p, -reach), min(hi - p, reach), _QUADRATURE_TOL)
     return n * math.log(math.cos(p)) + math.log(value), err / value
@@ -149,7 +165,8 @@ def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     log_slab, rel_slab = _log_cos_power(n, -math.asin(2.0 * a - 1.0), math.asin(2.0 * (c - a)))
     log_cap, rel_cap = _log_cos_power(n, math.asin(c), 0.5 * math.pi)
     log_vn1 = unit_ball_volume(n - 1).log_magnitude
-    log_vol = log_vn1 + float(np.logaddexp(n * LOG_HALF + log_slab, log_cap))
+    slab = n * LOG_HALF + log_slab
+    log_vol = log_vn1 + max(slab, log_cap) + math.log1p(math.exp(-abs(slab - log_cap)))
     error = max(rel_slab, rel_cap) + CLOSED_FORM_REL_ERROR * abs(log_vol)
     return VolumeEstimate(LogValue(log_vol), "quadrature", error)
 
@@ -163,6 +180,8 @@ def _log_scaled(n, a: float, log_cap):
     the difference of two caps, in log scale, where it lies to one side.
     The cap piece is 2^n times the cap beyond the chord plane c.
     """
+    import numpy as np
+
     c = chord_coordinate(a)
     u1 = 2.0 * (c - a)
     if u1 > 0.0:
@@ -262,6 +281,8 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTab
     for all n at once by the recurrence in n of _log_ball_cap_fractions,
     from a few scalar seeds.
     """
+    import numpy as np
+
     n_min, n_max = checked_dimension(n_min, 2), checked_dimension(n_max, 2)
     if not n_min <= n_max <= MAX_DIMENSION:
         raise DomainError(f"need 2 <= n_min <= n_max <= {MAX_DIMENSION}, got [{n_min}, {n_max}]")

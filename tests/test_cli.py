@@ -272,7 +272,7 @@ class TestVerify:
             (x, (-y[0], -y[1]), "cross_component", 0.9999999999999998),
         )
         report = AuditReport(10_000, 3, 0.9999999999999998, 1.0000000000000009, 0, witnesses)
-        monkeypatch.setattr(cli, "pair_audit", lambda config: report)
+        monkeypatch.setattr("ballavoid.sampling.pair_audit", lambda config: report)
         argv = ["verify", "--n", "2", "--pairs", "10000", "--samples", "10000"]
         code, out = run_cli(capsys, [*argv, "--format", "json"])
         assert code == 1
@@ -297,7 +297,7 @@ class TestVerify:
             (x, y, "same_component", 1.0000000000000009),
         )
         report = AuditReport(10_000, 2, 1.0001, 1.0000000000000009, 0, witnesses)
-        monkeypatch.setattr(cli, "pair_audit", lambda config: report)
+        monkeypatch.setattr("ballavoid.sampling.pair_audit", lambda config: report)
         argv = ["verify", "--n", "2", "--pairs", "10000", "--samples", "10000", "--format"]
         code, out = run_cli(capsys, [*argv, "csv"])
         assert code == 1
@@ -773,13 +773,39 @@ print(sorted(m for m in ("scipy", "mpmath") if m in sys.modules))
         # Each of these is imported inside the one function that needs it;
         # at module level every command would pay for it at start-up.
         script = ("import sys, ballavoid.cli\n"
+                  "ballavoid.cli.build_parser()\n"
                   "print(sorted(m for m in ('concurrent.futures', 'logging', 'fractions',"
-                  " 'decimal') if m in sys.modules))\n")
+                  " 'decimal', 'numpy', 'numpy.polynomial', 'ballavoid.sampling')"
+                  " if m in sys.modules))\n")
         src = os.path.dirname(os.path.dirname(ballavoid.__file__))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["ratio", "--method", "quadrature", "--n", "50", "--format", "json"], 0),
+        (["figure", "--out", "f.svg"], 0),
+        (["concentration-check"], 0),
+        (["--help"], 0),
+        (["ratio", "--n", "1"], 2),
+    ])
+    def test_commands_on_plain_floats_never_load_numpy(self, tmp_path, argv, code):
+        # Only verify, table, threshold and the closed form compute on arrays.
+        script = ("import contextlib, io, sys\n"
+                  "from ballavoid.cli import main\n"
+                  "out = io.StringIO()\n"
+                  "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+                  "    try:\n"
+                  "        code = main(sys.argv[1:])\n"
+                  "    except SystemExit as exc:\n"
+                  "        code = exc.code\n"
+                  "print(code, 'numpy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(ballavoid.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, timeout=120, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{code} False\n"
 
 
 class TestCheckAll:
