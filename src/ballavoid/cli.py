@@ -2,9 +2,9 @@
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
 2 = usage or I/O error; main() maps the library's errors to them.  Every
-handler but figure and check-all passes its verdict and result builders
-to _emit, the one writer of a document.  JSON always carries the keys
-{"command", "inputs", "results", "pass"}, inputs being the parsed flags,
+handler but figure and check-all passes its verdict, results and output
+builders to _emit, the one writer of a document.  JSON always carries
+the keys {"command", "inputs", "results", "pass"}, inputs being the parsed flags,
 in the bytes json.dumps(doc, indent=2) writes (the rows of a RatioTable
 are written one run of equal rows at a time, each distinct float spelled
 once, and spliced in); text prints
@@ -68,9 +68,6 @@ def _write_out(payload: str, out: str | None) -> int:
 _NOT_INPUTS = ("command", "format", "out", "handler")
 
 
-# The fields of a RatioTable that the CLI writes, one row per dimension.
-_TABLE_FIELDS = ("n", "ratio", "scaled", "margin")
-
 # The text between the cells of a RatioTable's rows as json.dumps(doc,
 # indent=2) writes them, a list of dicts, as a value of doc["results"]:
 # before the first n, before each later n (closing the row above), before
@@ -83,7 +80,7 @@ _LAST_ROW = '\n      }\n    ]'
 
 def _table_rows(table: RatioTable):
     """(n, ratio, scaled, margin) per dimension, as Python ints and floats."""
-    return zip(*(getattr(table, field).tolist() for field in _TABLE_FIELDS))
+    return zip(*(column.tolist() for column in table))
 
 
 def _json_words(values: list) -> list[str]:
@@ -105,7 +102,7 @@ def _rows_json(table: RatioTable) -> str:
     the run's own text, the cells after n and the break to the next row."""
     import numpy as np
 
-    floats = np.stack((table.ratio, table.scaled, table.margin)).view(np.int64)
+    floats = np.stack(table[1:]).view(np.int64)
     # Run k is rows bounds[k]:bounds[k + 1].
     split = np.ones(table.n.size + 1, dtype=bool)
     split[1:-1] = (floats[:, 1:] != floats[:, :-1]).any(axis=0)
@@ -126,18 +123,18 @@ def _rows_json(table: RatioTable) -> str:
 
 
 def _row_dicts(table: RatioTable) -> list[dict]:
-    return [dict(zip(_TABLE_FIELDS, row)) for row in _table_rows(table)]
+    return [dict(zip(RatioTable._fields, row)) for row in _table_rows(table)]
 
 
 def _emit(args, ok: bool, results, text_lines, csv_rows) -> int:
     """Write the payload args.format asks for to args.out and return the
-    exit code: 2 if it cannot be written, else 0 if ok, else 1.  results,
-    text_lines and csv_rows are builders taking no argument; only what
-    that format needs is called.  A RatioTable as a results value is
-    written as a list of rows of _TABLE_FIELDS."""
+    exit code: 2 if it cannot be written, else 0 if ok, else 1.  results
+    is the JSON document's results dict; text_lines and csv_rows are
+    builders taking no argument, and only the one that format needs is
+    called.  A RatioTable as a results value is written as a list of rows
+    of RatioTable._fields."""
     if args.format == "json":
         inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
-        results = results()
         tables = {key: value for key, value in results.items() if isinstance(value, RatioTable)}
         # Each table goes in as a placeholder string that no flag or result
         # holds (it starts with NUL); its JSON spelling is then replaced by
@@ -181,7 +178,7 @@ def cmd_ratio(args) -> int:
     def text_lines():
         return _kv_lines([("n", row.n), ("a", args.a), ("method", args.method), *results.items()])
 
-    return _emit(args, ok, lambda: results, text_lines, lambda: [{"n": row.n, **results}])
+    return _emit(args, ok, results, text_lines, lambda: [{"n": row.n, **results}])
 
 
 def cmd_table(args) -> int:
@@ -194,7 +191,7 @@ def cmd_table(args) -> int:
                     for n, ratio, scaled, margin in _table_rows(table))
         return text
 
-    return _emit(args, ok, lambda: {"rows": table}, text_lines, lambda: _row_dicts(table))
+    return _emit(args, ok, {"rows": table}, text_lines, lambda: _row_dicts(table))
 
 
 def cmd_verify(args) -> int:
@@ -252,7 +249,7 @@ def cmd_verify(args) -> int:
                  **{f"x_{i}": v for i, v in enumerate(x, 1)}, **{f"y_{i}": v for i, v in enumerate(y, 1)}}
                 for x, y, tag, dist in report.violating_pairs]
 
-    return _emit(args, ok, lambda: results, text_lines, csv_rows)
+    return _emit(args, ok, results, text_lines, csv_rows)
 
 
 def cmd_optimize_a(args) -> int:
@@ -275,8 +272,7 @@ def cmd_optimize_a(args) -> int:
         "equidistance_residual": equidistance_residual(argmax),
         "log_volume_drop_at_1e-3": min(drops),
     }
-    return _emit(args, ok, lambda: results, lambda: _kv_lines(list(results.items())),
-                 lambda: [results])
+    return _emit(args, ok, results, lambda: _kv_lines(list(results.items())), lambda: [results])
 
 
 def cmd_threshold(args) -> int:
@@ -307,8 +303,7 @@ def cmd_threshold(args) -> int:
                     for n, ratio, scaled, margin in _table_rows(direct))
         return text
 
-    return _emit(args, ok, lambda: {**results, "direct_checks": direct}, text_lines,
-                 lambda: _row_dicts(direct))
+    return _emit(args, ok, {**results, "direct_checks": direct}, text_lines, lambda: _row_dicts(direct))
 
 
 def cmd_figure(args) -> int:
@@ -361,7 +356,7 @@ def cmd_concentration_check(args) -> int:
         )
         return text
 
-    return _emit(args, ok, lambda: {"rows": rows}, text_lines, lambda: rows)
+    return _emit(args, ok, {"rows": rows}, text_lines, lambda: rows)
 
 
 def cmd_check_all(args) -> int:

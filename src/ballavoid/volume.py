@@ -54,6 +54,10 @@ _GL_WEIGHTS = (
 # CLOSED_FORM_REL_ERROR * |log vol T| sets error_bound.
 _QUADRATURE_TOL = 1e-12
 
+# The most panels adaptive_gauss_legendre splits an interval into.  The
+# quadrature route takes at most 8 at every n in 2..10000.
+_MAX_PANELS = 4096
+
 MAX_DIMENSION = 10000  # the documented range is 2 <= n <= MAX_DIMENSION
 
 # Bound on |error of log vol T| / |log vol T| for vol_T_closed_form, which
@@ -94,17 +98,16 @@ class RatioRow(NamedTuple):
 
 
 class RatioTable(NamedTuple):
-    """RatioRow's fields as columns, one entry per dimension: n an integer
-    array, the rest float64 arrays."""
+    """RatioRow's first four fields as columns, one entry per dimension: n
+    an integer array, the rest float64 arrays."""
 
     n: np.ndarray
     ratio: np.ndarray
     scaled: np.ndarray
     margin: np.ndarray
-    log_error_bound: np.ndarray
 
 
-def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int = 4096):
+def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float):
     """Integrate f on [lo, hi] by 15-point Gauss-Legendre on 1, 2, 4, ...
     equal panels, every node of a level in one call of f (a list of floats
     in, an iterable of as many floats out), until two levels agree to tol
@@ -112,13 +115,13 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int
 
     Returns (value, error_estimate), the estimate being the last
     difference of levels; raises NumericError (carrying the best estimate
-    and achieved error) if the next level would exceed max_panels panels.
+    and achieved error) if the next level would exceed _MAX_PANELS panels.
     """
     if hi <= lo:
         return 0.0, 0.0
     value = err = math.inf
     panels = 1
-    while panels <= max_panels:
+    while panels <= _MAX_PANELS:
         width = (hi - lo) / panels
         x = [lo + width * (k + 0.5 * (1.0 + t)) for k in range(panels) for t in _GL_NODES]
         fine = 0.5 * width * math.fsum(map(operator.mul, _GL_WEIGHTS * panels, f(x)))
@@ -128,7 +131,7 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float, max_panels: int
         value = fine
         panels *= 2
     raise NumericError(
-        f"quadrature used more than {max_panels} panels without reaching tolerance {tol}",
+        f"quadrature used more than {_MAX_PANELS} panels without reaching tolerance {tol}",
         best_estimate=value,
         achieved_error=err,
     )
@@ -273,9 +276,9 @@ def maximize_a(n: int) -> float:
 
 
 def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTable:
-    """ratio_S's fields for every dimension in [n_min, n_max], as columns;
-    each positive margin is the direct check of the counterexample
-    inequality at that n.
+    """RatioRow's first four fields for every dimension in [n_min, n_max],
+    as columns; each positive margin is the direct check of the
+    counterexample inequality at that n.
 
     The same _log_scaled as ratio_S, but each of its three caps is taken
     for all n at once by the recurrence in n of _log_ball_cap_fractions,
@@ -288,17 +291,8 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTab
         raise DomainError(f"need 2 <= n_min <= n_max <= {MAX_DIMENSION}, got [{n_min}, {n_max}]")
     ConstructionParams(n_min, a)
     n = np.arange(n_min, n_max + 1)
-    # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)),
-    # and lgamma(n/2 + 1) normalizes v_n in the log volume that sizes the
-    # bound.  x steps by 1/2, so lgamma(x) chains from lgamma(x[0]) through
-    # the same half-step ratios R(x) = lgamma(x + 1/2) - lgamma(x): within
-    # 1.5e-10 absolute (4.4e-15 relative) of math.lgamma up to n = 10000.
-    x = 0.5 * n + 1.0
-    half_steps = _log_gamma_half_ratio(x)
-    log_coef = -half_steps - 0.5 * LOG_PI
+    # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)).
+    log_coef = -_log_gamma_half_ratio(0.5 * n + 1.0) - 0.5 * LOG_PI
     log_scaled = _log_scaled(n, a, lambda t: _log_ball_cap_fractions(n_min, t, log_coef))
-    lg = math.lgamma(x[0]) + np.concatenate(([0.0], np.cumsum(half_steps[:-1])))
-    log_vol = 0.5 * n * LOG_PI - lg + n * LOG_HALF + log_scaled
     scaled = np.exp(LOG_TWO + log_scaled)
-    return RatioTable(n, np.exp(LOG_TWO + n * LOG_HALF + log_scaled), scaled, scaled - 1.0,
-                      CLOSED_FORM_REL_ERROR * np.abs(log_vol))
+    return RatioTable(n, np.exp(LOG_TWO + n * LOG_HALF + log_scaled), scaled, scaled - 1.0)

@@ -140,6 +140,15 @@ class TestTable:
         assert len(lines) == 14  # header + rows for n = 2..14
         assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
 
+    def test_every_column_is_written(self, capsys):
+        # A RatioTable column that no format writes is computed for nothing.
+        _, out = run_cli(capsys, ["table", "--max-n", "64", "--format", "csv"])
+        assert tuple(out.splitlines()[0].split(",")) == RatioTable._fields
+        _, out = run_cli(capsys, ["table", "--max-n", "64", "--format", "json"])
+        rows = json.loads(out)["results"]["rows"]
+        assert len(rows) == 63
+        assert all(tuple(row) == RatioTable._fields for row in rows)
+
     def test_scaled_strictly_increasing(self, capsys):
         code, out = run_cli(capsys, ["table", "--max-n", "200", "--format", "csv"])
         assert code == 0
@@ -638,7 +647,7 @@ class TestOutputFormats:
         results = {"c": 1.5, "rows": table, "after": ["nan", "inf"]}
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert _emit(args, True, lambda: results, None, None) == 0
+            assert _emit(args, True, results, None, None) == 0
         doc = {"command": "test", "inputs": {}, "results": {**results, "rows": row_dicts(table)},
                "pass": True}
         return out.getvalue(), json.dumps(doc, indent=2) + "\n"
@@ -646,7 +655,7 @@ class TestOutputFormats:
     @staticmethod
     def table_of(values):
         x = np.array(values)
-        return RatioTable(np.arange(len(x)), x, np.roll(x, -1), np.roll(x, -2), np.zeros(len(x)))
+        return RatioTable(np.arange(len(x)), x, np.roll(x, -1), np.roll(x, -2))
 
     def test_non_finite_and_extreme_rows(self):
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
@@ -659,7 +668,7 @@ class TestOutputFormats:
         assert out == expected
         # Each value's own spelling, as the ratio cell of its row.
         x = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
-        rows = cli._rows_json(RatioTable(np.arange(x.size), x, x, x, x))
+        rows = cli._rows_json(RatioTable(np.arange(x.size), x, x, x))
         assert [line.split(": ")[1].rstrip(",") for line in rows.splitlines() if '"ratio"' in line] == [
             "NaN", "Infinity", "-Infinity", "-0.0", "0.0", "5e-324"]
 
@@ -688,7 +697,7 @@ class TestOutputFormats:
             rows.extend([triple] * length)
         ratio, scaled, margin = np.array(self._POOL)[np.array(rows).T]
         n = np.arange(start, start + len(rows))
-        out, expected = self.emit_table(RatioTable(n, ratio, scaled, margin, np.zeros(n.size)))
+        out, expected = self.emit_table(RatioTable(n, ratio, scaled, margin))
         assert out == expected
 
     def test_each_distinct_float_spelled_once(self, monkeypatch):
