@@ -219,7 +219,6 @@ def cmd_verify(args) -> int:
         "max_same_distance": report.max_same_distance,
         "mc_ratio": mc.log_value.linear(),
         "mc_log_ratio": mc.log_value.log_magnitude,
-        "mc_ci99_half_width": mc.half_width(_Z99),
         "mc_log_ci99_low": log_ci99_low,
         "mc_log_ci99_high": log_ci99_high,
         "analytic_ratio": row.ratio,
@@ -282,16 +281,14 @@ def cmd_threshold(args) -> int:
     if n_min - 1 > MAX_DIMENSION:
         raise DomainError(f"at offset a={args.a!r}, c={c_hi:.10g} certifies only n >= {n_min}; "
                           f"direct checks up to n={n_min - 1} exceed {MAX_DIMENSION}")
-    # Worked out again from the rounded c_hi, n_min can come out one
-    # higher, but only near a = 1/2, where the check above has failed.
     best = minimal_certified_n(c_hi, args.a)
     direct = ratio_table(2, n_min - 1, args.a)
-    ok = best.n_min <= 15 and bool((direct.margin > 0).all())
+    ok = n_min <= 15 and bool((direct.margin > 0).all())
     results = {
-        "c": best.c,
-        "n_min": best.n_min,
+        "c": c_hi,
+        "n_min": n_min,
         "bound_factor": best.bound_factor,
-        "width_ok_from": best.n_min,
+        "width_ok_from": n_min,
         "certifying_c_min": c_lo,
         "certifying_c_max": c_hi,
     }

@@ -49,14 +49,8 @@ def concentration_bound(c: float) -> float:
 
 def _width_ok_from(c: float, a: float, strict: bool = False) -> int:
     """Smallest n with c/sqrt(n-1) <= 2a - 1, or < 2a - 1 when strict (the
-    smallest n that admits constants just above c).
-
-    k = (c / (2a - 1))^2 and the 1e-9 slack are exact in the doubles c and
-    a, so n is exact at every size.  The slack keeps constants chosen
-    exactly at the boundary (such as c = (2a-1) sqrt(n-1)) from being
-    pushed up a dimension by rounding; when strict it errs toward the
-    larger dimension.
-    """
+    smallest n that admits constants just above c).  k = (c / (2a - 1))^2
+    is exact in the doubles c and a, so n is exact at every size."""
     # Imported here, not at the top: fractions imports decimal, which adds
     # 5-8 ms (~3 % on a 2-vCPU Intel Xeon VM) to every start-up of the CLI,
     # for a path only threshold takes.
@@ -67,8 +61,7 @@ def _width_ok_from(c: float, a: float, strict: bool = False) -> int:
     k = (Fraction(c) / (2 * Fraction(a) - 1)) ** 2 if math.isfinite(c) else math.inf
     if not k <= sys.float_info.max:
         raise DomainError(f"c={c!r} fits the slab only in dimensions beyond the float range")
-    slack = Fraction(1, 10**9)
-    return max(3, math.floor(k + slack) + 2 if strict else math.ceil(1 + k - slack))
+    return max(3, math.floor(k) + 2 if strict else math.ceil(k) + 1)
 
 
 def certified_ratio_lower_bound(n: int, c: float, a: float = CANONICAL_OFFSET) -> float:
@@ -104,8 +97,9 @@ def certifying_constants(
     """The constants in [c_min, c_max] that certify the smallest dimension
     n_min, as the interval (c_lo, c_hi], closed at c_lo if c_lo = c_min >
     C_STAR, and n_min itself.  The bound factor grows with c and the slab
-    needs c <= (2a - 1) sqrt(n - 1), so c_lo = max(c_min, C_STAR) and
-    c_hi = min(c_max, (2a - 1) sqrt(n_min - 1)).
+    needs c <= (2a - 1) sqrt(n - 1), so c_lo = max(c_min, C_STAR) and c_hi
+    is the largest double up to min(c_max, (2a - 1) sqrt(n_min - 1)) that
+    certifies n_min in exact arithmetic.
     """
     if not 1.0 <= c_min <= c_max:
         raise DomainError(f"need 1 <= c_min <= c_max, got [{c_min}, {c_max}]")
@@ -113,7 +107,11 @@ def certifying_constants(
         raise CertificateError(f"no certifying constant in [{c_min}, {c_max}]")
     c_lo = max(c_min, C_STAR)
     n_min = _width_ok_from(c_lo, a, strict=c_lo == C_STAR)
-    return c_lo, min(c_max, (2.0 * a - 1.0) * math.sqrt(n_min - 1.0)), n_min
+    c_hi = min(c_max, (2.0 * a - 1.0) * math.sqrt(n_min - 1.0))
+    # The rounded boundary can lie a few ulps beyond the exact one.
+    while _width_ok_from(c_hi, a) > n_min:
+        c_hi = math.nextafter(c_hi, 0.0)
+    return c_lo, c_hi, n_min
 
 
 def best_certificate(

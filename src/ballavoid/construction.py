@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
-from .errors import DomainError, GeometryError, checked_dimension
+from .errors import DomainError, checked_dimension
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,7 +37,7 @@ def chord_coordinate(a: float) -> float:
     Equals (a^2 + 3/4) / (2a) and lies in (1/2, 1) for a in (1/2, 1).
     """
     if not a + 0.5 > 1.0:
-        raise GeometryError(
+        raise DomainError(
             f"spheres are nested for offset a={a!r} (need a + 1/2 > 1); no chord plane"
         )
     return (a * a + 0.75) / (2.0 * a)

@@ -8,10 +8,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class GeometryError(DomainError):
-    """A geometric configuration is degenerate (e.g. spheres do not intersect)."""
-
-
 class NumericError(RuntimeError):
     """A numerical scheme failed to reach its target accuracy.
 

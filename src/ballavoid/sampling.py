@@ -132,13 +132,6 @@ class AcceptanceEstimate:
         shift = (1 - self.n) * math.log(2.0)
         return (math.log(lo) + shift if lo > 0.0 else -math.inf), math.log(hi) + shift
 
-    def half_width(self, z: float) -> float:
-        """Linear half-width of the ratio's Wilson score interval at z standard
-        deviations: 2 (1/2)^n max(hi - q, q - lo), 0 where that underflows."""
-        q = self.hits / self.proposals
-        lo, hi = _wilson_interval(self.hits, self.proposals, z)
-        return math.ldexp(max(hi - q, q - lo), 1 - self.n)
-
 
 def _wilson_interval(hits: int, trials: int, z: float) -> tuple[float, float]:
     p = hits / trials

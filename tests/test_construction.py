@@ -14,7 +14,7 @@ from ballavoid.construction import (
     component,
     equidistance_residual,
 )
-from ballavoid.errors import DomainError, GeometryError
+from ballavoid.errors import DomainError
 
 
 def e1(n, value=1.0):
@@ -70,9 +70,9 @@ class TestChordCoordinate:
         assert chord_coordinate(0.75) == pytest.approx(0.875, abs=1e-15)
 
     def test_nested_spheres_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(DomainError):
             chord_coordinate(0.5)
-        with pytest.raises(GeometryError):
+        with pytest.raises(DomainError):
             chord_coordinate(0.3)
 
     def test_range_guarantee(self):

@@ -206,14 +206,15 @@ class TestMcVolumeRatio:
         analytic = ratio_S(n).ratio
         sigma = math.sqrt(analytic * (1 - analytic) / cfg.sample_count)
         assert abs(est.log_value.linear() - analytic) <= 3 * sigma
-        assert est.half_width(2.5758293035489004) > 0
+        lo, hi = est.log_interval(2.5758293035489004)
+        assert lo < est.log_value.log_magnitude < hi
 
     def test_determinism(self):
         cfg = SamplerConfig(7, 20_000, ConstructionParams(2))
         a = mc_volume_ratio(cfg)
         b = mc_volume_ratio(cfg)
         assert a.log_value.log_magnitude == b.log_value.log_magnitude
-        assert a.half_width(2.5758293035489004) == b.half_width(2.5758293035489004)
+        assert a.log_interval(2.5758293035489004) == b.log_interval(2.5758293035489004)
 
     @pytest.mark.parametrize("n", [2, 10000])
     def test_memory_bounded(self, monkeypatch, n):

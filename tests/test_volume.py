@@ -439,11 +439,11 @@ def sin_list(x):
 
 class TestAdaptiveQuadrature:
     def test_smooth_integral(self):
-        val, err = adaptive_gauss_legendre(sin_list, 0.0, math.pi, 1e-12)
+        val, err = adaptive_gauss_legendre(sin_list, 0.0, math.pi)
         assert val == pytest.approx(2.0, rel=1e-12)
 
     def test_empty_interval(self):
-        assert adaptive_gauss_legendre(sin_list, 1.0, 1.0, 1e-12) == (0.0, 0.0)
+        assert adaptive_gauss_legendre(sin_list, 1.0, 1.0) == (0.0, 0.0)
 
     def test_one_call_of_f_per_level(self):
         sizes = []
@@ -452,7 +452,7 @@ class TestAdaptiveQuadrature:
             sizes.append(len(x))
             return [math.exp(-t * t) for t in x]
 
-        val, err = adaptive_gauss_legendre(f, -6.0, 6.0, 1e-12)
+        val, err = adaptive_gauss_legendre(f, -6.0, 6.0)
         assert sizes == [15 * 2**k for k in range(len(sizes))]
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
         assert err <= 1e-12 * val
@@ -466,6 +466,6 @@ class TestAdaptiveQuadrature:
         monkeypatch.setattr(volume, "_MAX_PANELS", 4)
         f = lambda x: [math.sin(1000.0 * t) for t in x]
         with pytest.raises(NumericError) as info:
-            adaptive_gauss_legendre(f, 0.0, 10.0, 1e-14)
+            adaptive_gauss_legendre(f, 0.0, 10.0)
         assert info.value.best_estimate is not None
         assert info.value.achieved_error is not None
