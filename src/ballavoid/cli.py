@@ -182,7 +182,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_table(args) -> int:
-    table = ratio_table(2, args.max_n, args.a)
+    table = ratio_table(args.max_n, args.a)
     ok = bool((table.margin > 0).all())
 
     def text_lines():
@@ -282,7 +282,7 @@ def cmd_threshold(args) -> int:
         raise DomainError(f"at offset a={args.a!r}, c={c_hi:.10g} certifies only n >= {n_min}; "
                           f"direct checks up to n={n_min - 1} exceed {MAX_DIMENSION}")
     best = minimal_certified_n(c_hi, args.a)
-    direct = ratio_table(2, n_min - 1, args.a)
+    direct = ratio_table(n_min - 1, args.a)
     ok = n_min <= 15 and bool((direct.margin > 0).all())
     results = {
         "c": c_hi,

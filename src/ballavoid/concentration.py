@@ -74,11 +74,8 @@ def certified_ratio_lower_bound(n: int, c: float, a: float = CANONICAL_OFFSET) -
     bound = concentration_bound(c)
     needed = _width_ok_from(c, a)
     if n < needed:
-        raise CertificateError(
-            f"slab width c/sqrt(n-1) exceeds 2a - 1 at n={n}; "
-            f"c={c} certifies only n >= {needed}",
-            n_required=needed,
-        )
+        raise CertificateError(f"slab width c/sqrt(n-1) exceeds 2a - 1 at n={n}; "
+                               f"c={c} certifies only n >= {needed}")
     return 2.0 * bound
 
 

@@ -36,7 +36,7 @@ def chord_coordinate(a: float) -> float:
 
     Equals (a^2 + 3/4) / (2a) and lies in (1/2, 1) for a in (1/2, 1).
     """
-    if not a + 0.5 > 1.0:
+    if not a > 0.5:
         raise DomainError(
             f"spheres are nested for offset a={a!r} (need a + 1/2 > 1); no chord plane"
         )
@@ -79,30 +79,27 @@ def _tightened(params: ConstructionParams, eps: float) -> tuple[float, float, fl
     return params.threshold + eps, params.cap_radius - eps, 1.0 - eps
 
 
-def _in_T_mask(params: ConstructionParams, x1: np.ndarray, sq: np.ndarray, eps: float,
+def _in_T_mask(params: ConstructionParams, x1: np.ndarray, sq: np.ndarray,
                out: np.ndarray, work: np.ndarray, test: np.ndarray) -> np.ndarray:
     """The definition of T, written once: out = (t < x1) & (sq < R^2) &
     (sq - 2a x1 < r^2 - a^2) for first coordinates x1 and squared norms sq,
-    with (t, r, R) from _tightened; strict at eps = 0 and non-strict for
-    eps > 0 (the closed inner approximation).  work (float) and test (bool)
-    are scratch arrays shaped like x1."""
+    with (t, r, R) = (1/2, 1/2, 1) from _tightened at eps = 0.  work (float)
+    and test (bool) are scratch arrays shaped like x1."""
     import numpy as np
 
-    t, r, outer = _tightened(params, eps)
+    t, r, outer = _tightened(params, 0.0)
     a = params.a
-    less = np.less if eps == 0.0 else np.less_equal
-    less(t, x1, out=out)
-    out &= less(sq, outer * outer, out=test)
+    np.less(t, x1, out=out)
+    out &= np.less(sq, outer * outer, out=test)
     np.multiply(x1, -2.0 * a, out=work)
     work += sq
-    out &= less(work, r * r - a * a, out=test)
+    out &= np.less(work, r * r - a * a, out=test)
     return out
 
 
-def component(params: ConstructionParams, X, eps: float = 0.0) -> np.ndarray:
+def component(params: ConstructionParams, X) -> np.ndarray:
     """Component labels of the points X (shape (..., n)) as int8: +1 in T,
-    -1 in -T, 0 outside S.  With eps > 0 the closed inner approximation
-    (every inequality tightened by eps) is tested instead."""
+    -1 in -T, 0 outside S."""
     import numpy as np
 
     X = np.asarray(X, dtype=float)
@@ -110,6 +107,6 @@ def component(params: ConstructionParams, X, eps: float = 0.0) -> np.ndarray:
         raise DomainError(f"points have shape {X.shape}, expected (..., {params.n})")
     x1 = X[..., 0]
     inside = np.empty(x1.shape, dtype=bool)
-    _in_T_mask(params, np.abs(x1), np.einsum("...i,...i->...", X, X), eps,
+    _in_T_mask(params, np.abs(x1), np.einsum("...i,...i->...", X, X),
                inside, np.empty(x1.shape), np.empty(x1.shape, dtype=bool))
     return np.where(inside, np.sign(x1), 0.0).astype(np.int8)

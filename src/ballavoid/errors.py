@@ -21,15 +21,7 @@ class NumericError(RuntimeError):
 
 
 class CertificateError(ValueError):
-    """A concentration certificate cannot be issued for the given inputs.
-
-    For width violations, `n_required` names the smallest dimension that
-    would satisfy the slab-width condition for the requested constant.
-    """
-
-    def __init__(self, message, n_required=None):
-        super().__init__(message)
-        self.n_required = n_required
+    """A concentration certificate cannot be issued for the given inputs."""
 
 
 def checked_dimension(n, least: int, name: str = "dimension") -> int:

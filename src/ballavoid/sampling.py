@@ -101,7 +101,6 @@ class AuditReport:
     violations: int
     min_cross_distance: float
     max_same_distance: float
-    seed: int
     # Full-precision witnesses (x, y, tag, distance) for any violations,
     # capped at 10; empty on every healthy run.  A cross witness is
     # (x, -y).  An "outside" witness is a drawn point not in T: y is empty
@@ -267,7 +266,7 @@ def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, 
     rho *= sq
     np.multiply(x1, x1, out=sq)
     sq += np.multiply(rho, rho, out=u)
-    return _in_T_mask(params, x1, sq, 0.0, s.keep[:m], u, s.test[:m])
+    return _in_T_mask(params, x1, sq, s.keep[:m], u, s.test[:m])
 
 
 def _run_chunks(seed: int, stream: int, total: int, audit: bool, work) -> Iterator:
@@ -400,7 +399,7 @@ def _audit_chunk(params: ConstructionParams, pairs: int, rng: np.random.Generato
     x, y = (p[0, :pairs], p[1, :pairs]), (p[0, pairs:], p[1, pairs:], y3)
     for point in (x, y):
         sum_sq(point, sq)
-        inside = _in_T_mask(params, point[0], sq, 0.0, keep, work, test)
+        inside = _in_T_mask(params, point[0], sq, keep, work, test)
         if not inside.all():
             outside = np.flatnonzero(~inside)
             violations += outside.size
@@ -444,6 +443,5 @@ def pair_audit(config: SamplerConfig) -> AuditReport:
         violations=violations,
         min_cross_distance=math.sqrt(min_cross_sq),
         max_same_distance=math.sqrt(max_same_sq),
-        seed=config.seed,
         violating_pairs=tuple(witnesses),
     )

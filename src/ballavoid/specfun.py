@@ -187,9 +187,8 @@ def _log_ball_cap_fraction(n: int, t: float) -> float:
     return math.log(_ball_cap_fraction(n, t))
 
 
-def _log_ball_cap_fractions(n_min: int, t: float, log_coef: np.ndarray) -> np.ndarray:
-    """_log_ball_cap_fraction(n, t) for n = n_min, n_min + 1, ... in one
-    pass, 0 <= t < 1.
+def _log_ball_cap_fractions(t: float, log_coef: np.ndarray) -> np.ndarray:
+    """_log_ball_cap_fraction(n, t) for n = 2, 3, ... in one pass, 0 <= t < 1.
 
     log_coef[k] is log(1 / (alpha B(alpha, 1/2))) at alpha = (n + 1)/2 of
     row k.  Caps of dimensions n and n + 2 differ by half the term
@@ -206,7 +205,7 @@ def _log_ball_cap_fractions(n_min: int, t: float, log_coef: np.ndarray) -> np.nd
     import numpy as np
 
     rows = np.arange(log_coef.size)
-    alpha = 0.5 * (n_min + rows + 1.0)
+    alpha = 0.5 * (rows + 3.0)
     z = (1.0 - t) * (1.0 + t)
     log_t = math.log(t) if t > 0.0 else -math.inf
     log_step = math.log(0.5) + alpha * math.log(z) + log_t + log_coef  # log(cap(n) - cap(n + 2))
@@ -215,10 +214,10 @@ def _log_ball_cap_fractions(n_min: int, t: float, log_coef: np.ndarray) -> np.nd
     for chain in (rows[0::2], rows[1::2]):
         up, down = chain[~direct[chain]], chain[direct[chain]]
         if up.size:
-            seed = _ball_cap_fraction(n_min + int(up[0]), t)
+            seed = _ball_cap_fraction(2 + int(up[0]), t)
             out[up] = np.log(np.cumsum(np.concatenate(([seed], -np.exp(log_step[up[:-1]])))))
         if down.size:
-            seed = _log_ball_cap_fraction(n_min + int(down[-1]), t)
+            seed = _log_ball_cap_fraction(2 + int(down[-1]), t)
             out[down] = np.logaddexp.accumulate(np.concatenate(([seed], log_step[down[-2::-1]])))[::-1]
     return out
 

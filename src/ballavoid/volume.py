@@ -146,7 +146,10 @@ def _log_cos_power(n: int, lo: float, hi: float):
     """
     p = min(max(0.0, lo), hi)
     slope = math.tan(p)
-    reach = math.sqrt(slope * slope + 2.0 * 60.0 / n) - abs(slope)
+    room = 2.0 * 60.0 / n
+    # The root of n (|tan p| d + d^2/2) = 60, rationalized: the difference
+    # sqrt(tan^2 p + room) - |tan p| cancels to 0 on a steep peak.
+    reach = room / (math.sqrt(slope * slope + room) + abs(slope))
 
     def g(d):
         return [math.exp(n * math.log1p(-2.0 * math.sin(0.5 * t) ** 2 - slope * math.sin(t))) for t in d]
@@ -274,9 +277,9 @@ def maximize_a(n: int) -> float:
     return CANONICAL_OFFSET
 
 
-def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTable:
-    """RatioRow's first four fields for every dimension in [n_min, n_max],
-    as columns; each positive margin is the direct check of the
+def ratio_table(n_max: int, a: float = CANONICAL_OFFSET) -> RatioTable:
+    """RatioRow's first four fields for every dimension in [2, n_max], as
+    columns; each positive margin is the direct check of the
     counterexample inequality at that n.
 
     The same _log_scaled as ratio_S, but each of its three caps is taken
@@ -285,13 +288,13 @@ def ratio_table(n_min: int, n_max: int, a: float = CANONICAL_OFFSET) -> RatioTab
     """
     import numpy as np
 
-    n_min, n_max = checked_dimension(n_min, 2), checked_dimension(n_max, 2)
-    if not n_min <= n_max <= MAX_DIMENSION:
-        raise DomainError(f"need 2 <= n_min <= n_max <= {MAX_DIMENSION}, got [{n_min}, {n_max}]")
-    ConstructionParams(n_min, a)
-    n = np.arange(n_min, n_max + 1)
+    n_max = checked_dimension(n_max, 2)
+    if n_max > MAX_DIMENSION:
+        raise DomainError(f"need 2 <= n_max <= {MAX_DIMENSION}, got {n_max}")
+    ConstructionParams(2, a)
+    n = np.arange(2, n_max + 1)
     # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)).
     log_coef = -_log_gamma_half_ratio(0.5 * n + 1.0) - 0.5 * LOG_PI
-    log_scaled = _log_scaled(n, a, lambda t: _log_ball_cap_fractions(n_min, t, log_coef))
+    log_scaled = _log_scaled(n, a, lambda t: _log_ball_cap_fractions(t, log_coef))
     scaled = np.exp(LOG_TWO + log_scaled)
     return RatioTable(n, np.exp(LOG_TWO + n * LOG_HALF + log_scaled), scaled, scaled - 1.0)

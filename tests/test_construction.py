@@ -11,6 +11,7 @@ from ballavoid.construction import (
     ConstructionParams,
     chord_coordinate,
     _in_T_mask,
+    _tightened,
     component,
     equidistance_residual,
 )
@@ -23,9 +24,9 @@ def e1(n, value=1.0):
     return x
 
 
-def label(p, x, eps=0.0):
+def label(p, x):
     """component's label of the single point x."""
-    return int(component(p, x, eps))
+    return int(component(p, x))
 
 
 def bisect_offset_polynomial():
@@ -182,63 +183,44 @@ class TestClassifyPair:
 
 
 class TestInnerApproximation:
-    """component with eps > 0: the closed set with every inequality
-    tightened by eps."""
+    """The closed inner approximation that figure --epsilon draws: T with
+    every inequality tightened by eps."""
 
     def test_epsilon_range_enforced(self):
         p = ConstructionParams(3)
+        assert _tightened(p, 0.0) == (0.5, 0.5, 1.0)
         with pytest.raises(DomainError):
-            component(p, np.zeros(3), -1e-3)
+            _tightened(p, -1e-3)
         with pytest.raises(DomainError):
-            component(p, np.zeros(3), (p.a - 0.5) / 2)
-
-    def test_deep_interior_point(self):
-        p = ConstructionParams(3)
-        assert label(p, e1(3, p.a), 1e-3) == 1
-        assert label(p, e1(3, -p.a), 1e-3) == -1
-
-    def test_shell_witness_inside_T_but_not_tightened(self):
-        p = ConstructionParams(2)
-        x = np.array([0.5 + 5e-4, 0.1])
-        assert label(p, x) == 1
-        assert label(p, x, 1e-3) == 0
-
-    def test_subset_of_S(self):
-        p = ConstructionParams(3)
-        X = np.random.default_rng(12).uniform(-1.0, 1.0, (3000, 3))
-        inner = component(p, X, 5e-3) != 0
-        assert np.count_nonzero(inner) > 0
-        assert np.all(component(p, X[inner]) == component(p, X[inner], 5e-3))
+            _tightened(p, (p.a - 0.5) / 2)
 
 
-def definition_in_T(a, y, eps):
-    """The paper's T, every inequality tightened by eps, transcribed
-    directly: y_1 > 1/2, (y_1 - a)^2 + sum_{i>=2} y_i^2 < 1/4 and
-    sum_i y_i^2 < 1.  Returns (membership, distance to the nearest of the
-    three boundaries in the value of its left-hand side)."""
-    t, r, outer = 0.5 + eps, 0.5 - eps, 1.0 - eps
-    lhs = [t - y[0],
-           (y[0] - a) ** 2 + sum(v * v for v in y[1:]) - r * r,
-           sum(v * v for v in y) - outer * outer]
+def definition_in_T(a, y):
+    """The paper's T transcribed directly: y_1 > 1/2,
+    (y_1 - a)^2 + sum_{i>=2} y_i^2 < 1/4 and sum_i y_i^2 < 1.  Returns
+    (membership, distance to the nearest of the three boundaries in the
+    value of its left-hand side)."""
+    lhs = [0.5 - y[0],
+           (y[0] - a) ** 2 + sum(v * v for v in y[1:]) - 0.25,
+           sum(v * v for v in y) - 1.0]
     return all(v < 0 for v in lhs), min(abs(v) for v in lhs)
 
 
 class TestComponent:
     @pytest.mark.parametrize("n", [2, 3, 7])
-    @pytest.mark.parametrize("eps", [0.0, 1e-3])
-    def test_matches_definition(self, n, eps):
+    def test_matches_definition(self, n):
         p = ConstructionParams(n)
         rng = np.random.default_rng(100 + n)
         # Points near both small-ball centers, plus a wide box.
         near = rng.normal(0.0, 0.35 / math.sqrt(n), (3000, n))
         near[:, 0] += rng.choice([-p.a, p.a], 3000)
         X = np.vstack([near, rng.uniform(-1.1, 1.1, (1000, n))])
-        labels = component(p, X, eps)
+        labels = component(p, X)
         assert labels.dtype == np.int8 and labels.shape == (len(X),)
         checked = {-1: 0, 0: 0, 1: 0}
         for x, label in zip(X, labels):
-            pos, gap_pos = definition_in_T(p.a, x.tolist(), eps)
-            neg, gap_neg = definition_in_T(p.a, (-x).tolist(), eps)
+            pos, gap_pos = definition_in_T(p.a, x.tolist())
+            neg, gap_neg = definition_in_T(p.a, (-x).tolist())
             if min(gap_pos, gap_neg) < 1e-9:
                 continue
             assert label == (1 if pos else -1 if neg else 0), (x, label)
@@ -255,15 +237,6 @@ class TestComponent:
         assert labels[0, 1] == 1 and labels[1, 2] == -1
         assert np.count_nonzero(labels) == 2
 
-    def test_shape_and_epsilon_checked(self):
-        p = ConstructionParams(3)
-        with pytest.raises(DomainError):
-            component(p, np.zeros((5, 4)))
-        with pytest.raises(DomainError):
-            component(p, np.zeros((5, 3)), -1e-3)
-        with pytest.raises(DomainError):
-            component(p, np.zeros((5, 3)), (p.a - 0.5) / 2)
-
     def test_kernel_rejects_point_outside_small_ball(self):
         # x_1 > 1/2 and |x| < 1, but |x - a e_1|^2 = 0.3806 > 1/4.
         p = ConstructionParams(2)
@@ -271,5 +244,5 @@ class TestComponent:
         assert x[0] > 0.5 and x @ x < 1.0
         assert label(p, x) == 0
         out, test = np.empty(1, dtype=bool), np.empty(1, dtype=bool)
-        _in_T_mask(p, x[:1], np.array([x @ x]), 0.0, out, np.empty(1), test)
+        _in_T_mask(p, x[:1], np.array([x @ x]), out, np.empty(1), test)
         assert not out[0]

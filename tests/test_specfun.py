@@ -44,7 +44,7 @@ DIMENSION_ARGUMENTS = [
                  id="sample_unit_ball"),
     pytest.param(ConstructionParams, 5, id="ConstructionParams"),
     pytest.param(ratio_S, 5, id="ratio_S"),
-    pytest.param(lambda n: ratio_table(n, n).margin.tolist(), 5, id="ratio_table"),
+    pytest.param(lambda n: ratio_table(n).margin.tolist(), 5, id="ratio_table"),
     pytest.param(lambda n: certified_ratio_lower_bound(n, 2.0), 30,
                  id="certified_ratio_lower_bound"),
 ]
