@@ -22,7 +22,7 @@ import math
 import os
 import sys
 
-from .concentration import certifying_constants, concentration_bound, minimal_certified_n
+from .concentration import certifying_constants, concentration_bound
 from .construction import (
     CANONICAL_OFFSET,
     ConstructionParams,
@@ -281,13 +281,16 @@ def cmd_threshold(args) -> int:
     if n_min - 1 > MAX_DIMENSION:
         raise DomainError(f"at offset a={args.a!r}, c={c_hi:.10g} certifies only n >= {n_min}; "
                           f"direct checks up to n={n_min - 1} exceed {MAX_DIMENSION}")
-    best = minimal_certified_n(c_hi, args.a)
+    # certifying_constants has made the exact width test at c_hi.
+    bound_factor = 2.0 * concentration_bound(c_hi)
+    if not bound_factor > 1.0:
+        raise CertificateError(f"c={c_hi} gives bound factor {bound_factor:.6f} <= 1: no certificate")
     direct = ratio_table(n_min - 1, args.a)
     ok = n_min <= 15 and bool((direct.margin > 0).all())
     results = {
         "c": c_hi,
         "n_min": n_min,
-        "bound_factor": best.bound_factor,
+        "bound_factor": bound_factor,
         "width_ok_from": n_min,
         "certifying_c_min": c_lo,
         "certifying_c_max": c_hi,

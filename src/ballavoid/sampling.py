@@ -13,12 +13,16 @@ at a cost per point and per pair that does not depend on n.  T is
 symmetric about the e_1 axis, and membership depends only on x_1 and
 |x|^2; a pair x, y spans at most three dimensions together with e_1.  So
 each point of B(a e_1, 1/2) is drawn as x_1 and rho = |x - x_1 e_1| from
-four one-dimensional variates (see _propose), and each pair as the
-3-vectors x = (x_1, rho_x, 0) and y = (y_1, rho_y cos phi, rho_y sin phi)
-(see _pair_points); the other n - 3 coordinates are zero.  The audit
-stores a chunk as the first two coordinates of its points and the third
-of its y's, and forms squared distances row by row in the proposal
-block's buffers, which are free by then.
+three uniform variates (see _propose), and each pair as the 3-vectors
+x = (x_1, rho_x, 0) and y = (y_1, rho_y cos phi, rho_y sin phi), cos phi
+from one or two more (see _pair_points); the other n - 3 coordinates are
+zero.  These kernels take only ``Generator.random``: Ulrich's transform
+(G. Ulrich, Applied Statistics 33 (1984) 158-163) draws a coordinate of a
+uniform point of a sphere from two uniforms, a power and a cosine, so the
+reference's Gaussian construction stays an independent check of them.
+The audit stores a chunk as the first two coordinates of its points and
+the third of its y's, and forms squared distances row by row in the
+proposal block's buffers, which are free by then.
 
 They draw in chunks of CHUNK_ROWS rows (pairs in the audit, proposals in
 the volume estimate) and fold each chunk into running totals, so memory
@@ -242,28 +246,32 @@ def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, 
     of m uniform points x of B(a e_1, 1/2); return the mask of those in T.
 
     The first n coordinates of a uniform point of the sphere S^(n+1) are
-    uniform in the unit n-ball.  Split a standard Gaussian vector G of
-    R^(n+2) into its first coordinate g ~ N(0, 1), the next n - 1 and the
-    last two: their squared norms are 2SW and 2S(1 - W), independent of g,
-    where S ~ Gamma((n+1)/2) and W ~ Beta((n-1)/2, 1) = V^(2/(n-1)) for
-    V ~ U(0, 1).  So x_1 = a + g/(2|G|) and rho = sqrt(2SW)/(2|G|), with
-    |G|^2 = g^2 + 2S.  The Gamma shape is at least 3/2 at every n; below
-    shape 1 numpy's Gamma sampler takes about twice as long per draw."""
+    uniform in the unit n-ball.  Its first and last coordinates lie at a
+    squared distance 1 - U^(2/n) from the center of their plane, in a
+    uniform direction, so the first is t = sqrt(1 - U^(2/n)) cos(2 pi V)
+    (Ulrich's transform), and given t the next n - 1 coordinates hold the
+    fraction W = Z^(2/(n-1)) ~ Beta((n-1)/2, 1) of the remaining 1 - t^2,
+    for independent U, V, Z ~ U(0, 1), drawn in that order.  So
+    x_1 = a + t/2 and rho = sqrt((1 - t^2) W)/2."""
+    n = params.n
     x1, rho, u, sq = s.x1[:m], s.rho[:m], s.u[:m], s.sq[:m]
-    rng.standard_normal(out=x1)
-    rng.standard_gamma((params.n + 1) / 2, out=rho)
+    rng.random(out=x1)
+    x1 **= 2.0 / n
+    np.subtract(1.0, x1, out=x1)
+    np.sqrt(x1, out=x1)
+    rng.random(out=rho)
+    rho *= 2.0 * math.pi
+    np.cos(rho, out=rho)
+    x1 *= rho  # t
     rng.random(out=u)
-    u **= 2.0 / (params.n - 1)
-    rho += rho  # 2S
-    u *= rho  # 2SW
+    u **= 2.0 / (n - 1)  # W
     np.multiply(x1, x1, out=sq)
-    sq += rho
-    np.sqrt(sq, out=sq)
-    np.divide(0.5, sq, out=sq)  # 1/(2|G|)
-    x1 *= sq
+    np.subtract(1.0, sq, out=sq)
+    sq *= u
+    np.sqrt(sq, out=rho)
+    rho *= 0.5
+    x1 *= 0.5
     x1 += params.a
-    np.sqrt(u, out=rho)
-    rho *= sq
     np.multiply(x1, x1, out=sq)
     sq += np.multiply(rho, rho, out=u)
     return _in_T_mask(params, x1, sq, s.keep[:m], u, s.test[:m])
@@ -329,9 +337,13 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
     rotation about e_1 preserves T and every distance, and turns the parts
     of x and y orthogonal to e_1 into (rho_x, 0, 0) and
     (rho_y cos phi, rho_y sin phi, 0), phi the angle between them.  cos phi
-    is distributed as the first coordinate of a uniform point of S^(n-2):
-    h/sqrt(h^2 + 2P) for h ~ N(0, 1) and P ~ Gamma((n-2)/2), with
-    sin phi = sqrt(2P)/sqrt(h^2 + 2P).  At n = 2, P = 0 and cos phi = +-1."""
+    is distributed as the first coordinate of a uniform point of S^(n-2),
+    which Ulrich's transform draws from V and then U ~ U(0, 1) as
+    sqrt(1 - U^(2/(n-3))) cos(2 pi V) for n >= 4, as cos(2 pi V) on the
+    circle at n = 3, and as its sign, +-1, at n = 2; the cosine of a
+    double is never 0.  sin phi = sqrt(1 - cos^2 phi) >= 0, which is 0 at
+    n = 2.  cos phi is left in s.x1[:pairs]."""
+    n = params.n
     p, y3 = s.points[:, : 2 * pairs], s.y3[:pairs]
     filled = 0
     for idx, _ in _T_blocks(params, 2 * pairs, CHUNK_ROWS, lambda m: _propose(params, rng, s, m)):
@@ -342,23 +354,24 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
         del idx  # free before the next block is drawn
     # The block's buffers are free once its points are copied out.
     rho_y = p[1, pairs:]
-    h, r = s.x1[:pairs], s.sq[:pairs]
-    rng.standard_normal(out=h)
-    rng.standard_gamma((params.n - 2) / 2, out=y3)
-    y3 += y3  # 2P
-    np.multiply(h, h, out=r)
-    r += y3
-    while not r.all():  # measure-zero (h = 0 at n = 2); redraw those h
-        bad = r == 0.0
-        h[bad] = rng.standard_normal(int(bad.sum()))
-        np.multiply(h, h, out=r)
-        r += y3
-    np.sqrt(r, out=r)
-    np.sqrt(y3, out=y3)
-    y3 /= r  # sin phi
+    cos_phi = s.x1[:pairs]
+    rng.random(out=cos_phi)
+    cos_phi *= 2.0 * math.pi
+    np.cos(cos_phi, out=cos_phi)
+    if n == 2:
+        np.sign(cos_phi, out=cos_phi)
+    elif n > 3:
+        r = s.sq[:pairs]
+        rng.random(out=r)
+        r **= 2.0 / (n - 3)
+        np.subtract(1.0, r, out=r)
+        np.sqrt(r, out=r)
+        cos_phi *= r
+    np.multiply(cos_phi, cos_phi, out=y3)
+    np.subtract(1.0, y3, out=y3)
+    np.sqrt(y3, out=y3)  # sin phi
     y3 *= rho_y
-    h /= r  # cos phi
-    rho_y *= h
+    rho_y *= cos_phi
     return p, y3
 
 

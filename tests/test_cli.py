@@ -428,6 +428,13 @@ class TestThreshold:
         assert res["c"] == pytest.approx((2 * CANONICAL_OFFSET - 1) * 14**0.5, rel=1e-15)
         assert res["bound_factor"] == pytest.approx(1.0350657542, abs=1e-10)
 
+    def test_bound_factor_not_above_one_fails(self, capsys, monkeypatch):
+        # Every certifying constant exceeds C_STAR, so only a patched bound
+        # reaches this check.
+        monkeypatch.setattr(cli, "concentration_bound", lambda c: 0.5)
+        assert main(["threshold"]) == 1
+        assert capsys.readouterr().err.endswith("gives bound factor 1.000000 <= 1: no certificate\n")
+
     @pytest.mark.parametrize("a", ["nan", "0.5", "1", "inf"])
     def test_offset_outside_unit_interval_is_usage_error(self, capsys, a):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from ballavoid import sampling
 from ballavoid.construction import ConstructionParams, component
@@ -234,6 +234,24 @@ class TestMcVolumeRatio:
         with pytest.raises(NumericError):
             mc_volume_ratio(SamplerConfig(0, 10_000, ConstructionParams(500, 0.99)))
 
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_unbiased_across_seeds(self, n):
+        # 200 seeds of 10^4 proposals: the mean z-score of q-hat against
+        # the closed form lies within 4 standard errors, 4/sqrt(200), of 0,
+        # and the 3-sigma Wilson interval holds the exact log-ratio in at
+        # least 98 % of seeds (99.7 % expected).
+        samples, seeds = 10_000, 200
+        q = ratio_S(n).scaled / 2
+        log_ratio = math.log(ratio_S(n).scaled) - n * math.log(2.0)
+        z, covered = [], 0
+        for seed in range(seeds):
+            est = mc_volume_ratio(SamplerConfig(seed, samples, ConstructionParams(n)))
+            z.append((est.hits / samples - q) / math.sqrt(q * (1 - q) / samples))
+            lo, hi = est.log_interval(3.0)
+            covered += lo - 1e-12 <= log_ratio <= hi + 1e-12
+        assert abs(sum(z) / seeds) < 4 / math.sqrt(seeds)
+        assert covered >= 0.98 * seeds
+
     @pytest.mark.parametrize("n", [2, 64, 256, 1000, 10000])
     def test_wilson_interval_covers_analytic(self, n):
         # Hit-or-miss in the unit ball gets no hits from n ~ 30 on; the
@@ -266,28 +284,38 @@ class TestReducedCoordinates:
         assert 0 < keep.sum() < 4096
         assert keep.tolist() == (component(p, padded) == 1).tolist()
 
-    def test_zero_angle_normal_is_redrawn(self):
-        # At n = 2, cos phi = h/|h|.  The ziggurat returns h = 0 with
-        # probability 2^-52; it is drawn again, not turned into 0/0 and a
-        # point outside T.
-        class ZeroAngleNormals:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            def standard_normal(self, size=None, out=None):
-                result = self.rng.standard_normal(size, out=out)
-                if out is not None and len(out) < 2048:  # the pairs' h, not a proposal block
-                    out[:10] = 0.0
-                return result
-
+    def test_pair_angle_at_low_n(self):
+        # At n = 2 the orthogonal parts of x and y lie on one line, so
+        # cos phi = +-1 exactly and the y's third coordinate is 0; at n = 3
+        # cos phi = cos(2 pi V).  _pair_points leaves cos phi in s.x1.
+        pairs = 10_000
         s = sampling._Buffers(audit=True)
-        violations, _, _, _ = sampling._audit_chunk(ConstructionParams(2), 1000,
-                                                    ZeroAngleNormals(rng_for(32)), s)
-        assert violations == 0
-        assert np.isfinite(s.points[:, :2000]).all() and np.isfinite(s.y3[:1000]).all()
+        _, y3 = sampling._pair_points(ConstructionParams(2), rng_for(32), s, pairs)
+        assert set(np.unique(s.x1[:pairs]).tolist()) == {-1.0, 1.0}
+        assert (y3 == 0.0).all()
+        p, y3 = sampling._pair_points(ConstructionParams(3), rng_for(33), s, pairs)
+        assert np.isfinite(p).all() and np.isfinite(y3).all()
+        assert (np.abs(s.x1[:pairs]) <= 1.0).all()
+
+    @pytest.mark.parametrize("n", [64, 1000, 10000])
+    def test_proposal_law_at_high_n(self, n):
+        # sample_T's n-vectors are too large to serve as the reference
+        # here, so one-sample Kolmogorov-Smirnov tests compare 2^14
+        # proposals with their exact laws: 2(x_1 - a) is the first
+        # coordinate of a uniform point of the unit n-ball, and
+        # (2|x - a e_1|)^n ~ U(0, 1).  At n = 10000, U^(2/n) is within
+        # about 1e-3 of 1 and 1 - U^(2/n) cancels most of its digits.
+        p, m = ConstructionParams(n), 2**14
+        s = sampling._Buffers()
+        sampling._propose(p, rng_for(60), s, m)
+        x1, rho = s.x1[:m], s.rho[:m]
+
+        def x1_cdf(x):
+            return np.array([slab_fraction(n, -1.0, min(1.0, max(-1.0, 2.0 * (v - p.a))))
+                             for v in x])
+
+        assert kstest(x1, x1_cdf).pvalue > 1e-3
+        assert kstest((4.0 * ((x1 - p.a) ** 2 + rho**2)) ** (n / 2), "uniform").pvalue > 1e-3
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_law_matches_sample_T(self, n):
@@ -312,21 +340,21 @@ class TestReducedCoordinates:
 
 # Seeded results of the single-threaded sampler, which every worker count
 # must reproduce bit for bit; the first configuration spans four chunks,
-# and the last draws its angles from Gamma shapes near 5000.
+# and the last takes 1 - U^(2/n) at n = 10000, where U^(2/n) is near 1.
 PINNED = [
     (
         SamplerConfig(0, 200_000, ConstructionParams(2)),
-        AuditReport(200_000, 0, 1.000552790464183, 0.9937043713465661),
-        113_840,
+        AuditReport(200_000, 0, 1.004863175594912, 0.9943320300692835),
+        114_194,
     ),
     (
         SamplerConfig(11, 20_000, ConstructionParams(64)),
-        AuditReport(20_000, 0, 1.233754267066863, 0.8390640154732181),
-        19_974,
+        AuditReport(20_000, 0, 1.2128819890496825, 0.8532644353209),
+        19_969,
     ),
     (
         SamplerConfig(10, 20_000, ConstructionParams(10000)),
-        AuditReport(20_000, 0, 1.5318500867652811, 0.7204454606414054),
+        AuditReport(20_000, 0, 1.5321500042476923, 0.7224912139214105),
         20_000,
     ),
 ]
@@ -529,7 +557,8 @@ class TestPairAudit:
 
 def direct_audit(cfg, accept):
     """The audit of cfg recomputed on whole chunks from the same chunk
-    streams and draws.  Each proposal block is built as zero-padded
+    streams and uniform draws, taken by the formulas of _propose and
+    _pair_points.  Each proposal block is built as zero-padded
     n-vectors (x_1, rho, 0, ...) of B(a e_1, 1/2), accept(params, block)
     gives its accepted rows, the first half of a chunk's points are the
     x's and the second half the y's, each y is rotated by its angle phi in
@@ -546,24 +575,24 @@ def direct_audit(cfg, accept):
         blocks, filled = [], 0
         while filled < 2 * k:
             m = min(max(2 * k - filled, 2048), rows)
-            g = rng.standard_normal(m)
-            two_s = 2.0 * rng.standard_gamma((n + 1) / 2, m)
+            t = np.sqrt(1.0 - rng.random(m) ** (2.0 / n)) * np.cos(2.0 * np.pi * rng.random(m))
             w = rng.random(m) ** (2.0 / (n - 1))
-            scale = 0.5 / np.sqrt(g * g + two_s)
             block = np.zeros((m, n))
-            block[:, 0] = g * scale + a
-            block[:, 1] = np.sqrt(w * two_s) * scale
+            block[:, 0] = a + t / 2
+            block[:, 1] = np.sqrt((1.0 - t * t) * w) / 2
             blocks.append(accept(params, block)[: 2 * k - filled])
             filled += blocks[-1].shape[0]
         points = np.concatenate(blocks)
-        h = rng.standard_normal(k)
-        two_p = 2.0 * rng.standard_gamma((n - 2) / 2, k)
-        r = np.sqrt(h * h + two_p)
+        cos_phi = np.cos(2.0 * np.pi * rng.random(k))
+        if n == 2:
+            cos_phi = np.sign(cos_phi)
+        elif n > 3:
+            cos_phi *= np.sqrt(1.0 - rng.random(k) ** (2.0 / (n - 3)))
         x, y = points[:k], points[k:]
         rho_y = y[:, 1].copy()
-        y[:, 1] = rho_y * (h / r)
+        y[:, 1] = rho_y * cos_phi
         if n > 2:
-            y[:, 2] = rho_y * (np.sqrt(two_p) / r)
+            y[:, 2] = rho_y * np.sqrt(1.0 - cos_phi * cos_phi)
         outside = component(params, points) != 1
         norms = np.linalg.norm(points, axis=1)
         same = np.linalg.norm(x - y, axis=1)
