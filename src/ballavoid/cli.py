@@ -22,7 +22,7 @@ import math
 import os
 import sys
 
-from .concentration import certifying_constants, concentration_bound
+from .concentration import _certificate, certifying_constants, concentration_bound
 from .construction import (
     CANONICAL_OFFSET,
     ConstructionParams,
@@ -281,10 +281,7 @@ def cmd_threshold(args) -> int:
     if n_min - 1 > MAX_DIMENSION:
         raise DomainError(f"at offset a={args.a!r}, c={c_hi:.10g} certifies only n >= {n_min}; "
                           f"direct checks up to n={n_min - 1} exceed {MAX_DIMENSION}")
-    # certifying_constants has made the exact width test at c_hi.
-    bound_factor = 2.0 * concentration_bound(c_hi)
-    if not bound_factor > 1.0:
-        raise CertificateError(f"c={c_hi} gives bound factor {bound_factor:.6f} <= 1: no certificate")
+    bound_factor = _certificate(c_hi, args.a, n_min).bound_factor
     direct = ratio_table(n_min - 1, args.a)
     ok = n_min <= 15 and bool((direct.margin > 0).all())
     results = {

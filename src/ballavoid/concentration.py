@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .construction import CANONICAL_OFFSET
+from .construction import CANONICAL_OFFSET, _check_offset
 from .errors import CertificateError, DomainError, checked_dimension
 
 
@@ -56,8 +56,7 @@ def _width_ok_from(c: float, a: float, strict: bool = False) -> int:
     # for a path only threshold takes.
     from fractions import Fraction
 
-    if not 0.5 < a < 1.0:
-        raise DomainError(f"offset must lie in (1/2, 1), got {a!r}")
+    _check_offset(a)
     k = (Fraction(c) / (2 * Fraction(a) - 1)) ** 2 if math.isfinite(c) else math.inf
     if not k <= sys.float_info.max:
         raise DomainError(f"c={c!r} fits the slab only in dimensions beyond the float range")
@@ -79,13 +78,19 @@ def certified_ratio_lower_bound(n: int, c: float, a: float = CANONICAL_OFFSET) -
     return 2.0 * bound
 
 
-def minimal_certified_n(c: float, a: float = CANONICAL_OFFSET) -> ConcentrationCertificate:
-    """Certificate for the smallest dimension the constant c covers."""
+def _certificate(c: float, a: float, n_min: int | None = None) -> ConcentrationCertificate:
+    """c's certificate at offset a, if its bound factor, checked first, is
+    above 1.  A caller that has made the width test passes its n_min."""
     bound_factor = 2.0 * concentration_bound(c)
     if not bound_factor > 1.0:
         raise CertificateError(f"c={c} gives bound factor {bound_factor:.6f} <= 1: no certificate")
-    n_min = _width_ok_from(c, a)  # at least 3 already
+    n_min = _width_ok_from(c, a) if n_min is None else n_min  # at least 3 already
     return ConcentrationCertificate(c=c, n_min=n_min, bound_factor=bound_factor)
+
+
+def minimal_certified_n(c: float, a: float = CANONICAL_OFFSET) -> ConcentrationCertificate:
+    """Certificate for the smallest dimension the constant c covers."""
+    return _certificate(c, a)
 
 
 def certifying_constants(
@@ -116,5 +121,6 @@ def best_certificate(
 ) -> ConcentrationCertificate:
     """The certificate with the smallest n_min over c in [c_min, c_max],
     at the largest such c (the most slack above 1)."""
-    return minimal_certified_n(certifying_constants(a, c_min, c_max)[1], a)
+    _, c_hi, n_min = certifying_constants(a, c_min, c_max)
+    return _certificate(c_hi, a, n_min)
 

@@ -30,6 +30,12 @@ if TYPE_CHECKING:
 CANONICAL_OFFSET = ((1 << 120) + math.isqrt(10 << 240)) / (6 << 120)
 
 
+def _check_offset(a: float) -> None:
+    """DomainError unless a lies in (1/2, 1), the offsets of the construction."""
+    if not 0.5 < a < 1.0:
+        raise DomainError(f"offset must lie in (1/2, 1), got {a!r}")
+
+
 def chord_coordinate(a: float) -> float:
     """x_1-coordinate of the hyperplane through the intersection of the
     spheres ||x|| = 1 and ||x - a e_1|| = 1/2.
@@ -46,8 +52,7 @@ def chord_coordinate(a: float) -> float:
 def equidistance_residual(a: float) -> float:
     """(a - 1/2) - (c(a) - a): zero exactly when a*e_1 sits midway between
     the plane x_1 = 1/2 and the chord plane, i.e. at the canonical offset."""
-    if not 0.5 < a < 1.0:
-        raise DomainError(f"offset must lie in (1/2, 1), got {a!r}")
+    _check_offset(a)
     return (a - 0.5) - (chord_coordinate(a) - a)
 
 
@@ -67,8 +72,7 @@ class ConstructionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_dimension(self.n, 2))
-        if not 0.5 < self.a < 1.0:
-            raise DomainError(f"offset must lie in (1/2, 1), got {self.a!r}")
+        _check_offset(self.a)
 
 
 def _tightened(params: ConstructionParams, eps: float) -> tuple[float, float, float]:

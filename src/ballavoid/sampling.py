@@ -16,9 +16,12 @@ each point of B(a e_1, 1/2) is drawn as x_1 and rho = |x - x_1 e_1| from
 three uniform variates (see _propose), and each pair as the 3-vectors
 x = (x_1, rho_x, 0) and y = (y_1, rho_y cos phi, rho_y sin phi), cos phi
 from one or two more (see _pair_points); the other n - 3 coordinates are
-zero.  These kernels take only ``Generator.random``: Ulrich's transform
-(G. Ulrich, Applied Statistics 33 (1984) 158-163) draws a coordinate of a
-uniform point of a sphere from two uniforms, a power and a cosine, so the
+zero.  The audit keeps the pairs' points by a rejection loop of its own
+over blocks of these proposals, which shares with ``sample_T``'s only the
+definition of T and the rule that gives up below 1e-4 acceptance.  These
+kernels take only ``Generator.random``: Ulrich's transform (G. Ulrich,
+Applied Statistics 33 (1984) 158-163) draws a coordinate of a uniform
+point of a sphere from two uniforms, a power and a cosine, so the
 reference's Gaussian construction stays an independent check of them.
 The audit stores a chunk as the first two coordinates of its points and
 the third of its y's, and forms squared distances row by row in the
@@ -51,7 +54,7 @@ import numbers
 import os
 import threading
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -190,55 +193,36 @@ def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.nda
     return g * (rng.random(count) ** (1.0 / n) / np.sqrt(sq))[:, None]
 
 
-def _T_blocks(
-    params: ConstructionParams, count: int, rows: int, propose: Callable[[int], np.ndarray]
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Draw `count` points of T by rejection, in blocks of
-    min(max(still needed, 2048), rows) proposals; propose(m) draws a block
-    of m and returns the mask of those in T.  For each block, yield the
-    indices of its accepted proposals still needed, and the acceptance
-    rate so far, which counts every hit over every proposal, including
-    surplus hits that the last block draws."""
+def _check_acceptance(params: ConstructionParams, hits: int, proposed: int) -> None:
+    """Give up on rejection once >= 2048 proposals have < 1e-4 hits in T."""
+    if proposed >= 2048 and hits / proposed < 1e-4:
+        raise NumericError(
+            f"rejection acceptance rate below 1e-4 at a={params.a!r}; offset is pathological",
+            best_estimate=hits / proposed,
+        )
+
+
+def sample_T(params: ConstructionParams, rng: np.random.Generator,
+             count: int = 1) -> tuple[np.ndarray, float]:
+    """Uniform points in T by rejection from blocks of min(max(still needed,
+    2048), max(1, _T_BLOCK_ELEMENTS // n)) points 0.5 sample_unit_ball + a e_1,
+    kept in draw order where component() puts them in T.  Returns (points
+    of shape (count, n), acceptance rate); the rate counts every hit over
+    every proposal, including surplus hits that the last block draws."""
+    count = checked_dimension(count, 0, "count")
+    points = np.empty((count, params.n))
     filled = hits = proposed = 0
     while filled < count:
-        m = min(max(count - filled, 2048), rows)
-        idx = np.flatnonzero(propose(m))
-        proposed += m
-        hits += idx.size
-        if proposed >= 2048 and hits / proposed < 1e-4:
-            raise NumericError(
-                f"rejection acceptance rate below 1e-4 at a={params.a!r}; offset is pathological",
-                best_estimate=hits / proposed,
-            )
-        idx = idx[: count - filled]
-        filled += idx.size
-        yield idx, hits / proposed
-        del idx  # free before the next block is drawn
-
-
-def sample_T(
-    params: ConstructionParams, rng: np.random.Generator, count: int = 1
-) -> tuple[np.ndarray, float]:
-    """Uniform points in T by rejection from the small ball centered at
-    a*e_1; returns (points of shape (count, n), acceptance rate).  The rate
-    counts every hit over every proposal, including surplus hits that the
-    last block draws beyond `count`."""
-    count = checked_dimension(count, 0, "count")
-    y = None
-
-    def propose(m):
-        nonlocal y
+        m = min(max(count - filled, 2048), max(1, _T_BLOCK_ELEMENTS // params.n))
         y = 0.5 * sample_unit_ball(params.n, rng, m)
         y[:, 0] += params.a
-        return component(params, y) == 1
-
-    points = np.empty((count, params.n))
-    filled = 0
-    rate = 0.0
-    for idx, rate in _T_blocks(params, count, max(1, _T_BLOCK_ELEMENTS // params.n), propose):
-        points[filled : filled + idx.size] = y[idx]
-        filled += idx.size
-    return points, rate
+        inside = np.flatnonzero(component(params, y) == 1)
+        hits, proposed = hits + inside.size, proposed + m
+        _check_acceptance(params, hits, proposed)
+        inside = inside[: count - filled]
+        points[filled : filled + inside.size] = y[inside]
+        filled += inside.size
+    return points, hits / proposed if proposed else 0.0
 
 
 def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, m: int):
@@ -333,9 +317,10 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
     (2, 2 pairs) view of s.points, and the third coordinates of the y's, a
     view of s.y3.  The x's third coordinate and all the others are zero.
 
-    Each point comes from the rejection sampler as (x_1, rho, 0).  A
-    rotation about e_1 preserves T and every distance, and turns the parts
-    of x and y orthogonal to e_1 into (rho_x, 0, 0) and
+    Points are kept by rejection from blocks of min(max(still needed,
+    2048), CHUNK_ROWS) proposals of _propose, in draw order, as
+    (x_1, rho, 0).  A rotation about e_1 preserves T and every distance,
+    and turns the parts of x and y orthogonal to e_1 into (rho_x, 0, 0) and
     (rho_y cos phi, rho_y sin phi, 0), phi the angle between them.  cos phi
     is distributed as the first coordinate of a uniform point of S^(n-2),
     which Ulrich's transform draws from V and then U ~ U(0, 1) as
@@ -345,8 +330,13 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
     n = 2.  cos phi is left in s.x1[:pairs]."""
     n = params.n
     p, y3 = s.points[:, : 2 * pairs], s.y3[:pairs]
-    filled = 0
-    for idx, _ in _T_blocks(params, 2 * pairs, CHUNK_ROWS, lambda m: _propose(params, rng, s, m)):
+    filled = hits = proposed = 0
+    while filled < 2 * pairs:
+        m = min(max(2 * pairs - filled, 2048), CHUNK_ROWS)
+        idx = np.flatnonzero(_propose(params, rng, s, m))
+        hits, proposed = hits + idx.size, proposed + m
+        _check_acceptance(params, hits, proposed)
+        idx = idx[: 2 * pairs - filled]
         end = filled + idx.size
         np.take(s.x1, idx, out=p[0, filled:end], mode="clip")
         np.take(s.rho, idx, out=p[1, filled:end], mode="clip")

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .construction import CANONICAL_OFFSET, ConstructionParams, chord_coordinate
+from .construction import CANONICAL_OFFSET, ConstructionParams, _check_offset, chord_coordinate
 from .errors import DomainError, NumericError, checked_dimension
 from .specfun import (LogValue, _log_ball_cap_fraction, _log_ball_cap_fractions, _log_gamma_half_ratio,
                       unit_ball_volume)
@@ -291,7 +291,7 @@ def ratio_table(n_max: int, a: float = CANONICAL_OFFSET) -> RatioTable:
     n_max = checked_dimension(n_max, 2)
     if n_max > MAX_DIMENSION:
         raise DomainError(f"need 2 <= n_max <= {MAX_DIMENSION}, got {n_max}")
-    ConstructionParams(2, a)
+    _check_offset(a)
     n = np.arange(2, n_max + 1)
     # 1 / (alpha B(alpha, 1/2)) = Gamma(n/2 + 1) / (Gamma(n/2 + 3/2) sqrt(pi)).
     log_coef = -_log_gamma_half_ratio(0.5 * n + 1.0) - 0.5 * LOG_PI

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballavoid
-from ballavoid import cli
+from ballavoid import cli, concentration
 from ballavoid.cli import _emit, build_parser, main
 from ballavoid.concentration import C_STAR
 from ballavoid.construction import CANONICAL_OFFSET
@@ -431,7 +431,7 @@ class TestThreshold:
     def test_bound_factor_not_above_one_fails(self, capsys, monkeypatch):
         # Every certifying constant exceeds C_STAR, so only a patched bound
         # reaches this check.
-        monkeypatch.setattr(cli, "concentration_bound", lambda c: 0.5)
+        monkeypatch.setattr(concentration, "concentration_bound", lambda c: 0.5)
         assert main(["threshold"]) == 1
         assert capsys.readouterr().err.endswith("gives bound factor 1.000000 <= 1: no certificate\n")
 

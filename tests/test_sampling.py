@@ -188,10 +188,16 @@ class TestPublicSamplers:
 
     def test_T_acceptance_floor(self):
         # At a = 0.99 almost no point of B(a e_1, 1/2) lies in the unit
-        # ball in high n.
+        # ball in high n.  The audit's own rejection loop gives up by the
+        # same rule.
+        p = ConstructionParams(500, 0.99)
         with pytest.raises(NumericError) as err:
-            sample_T(ConstructionParams(500, 0.99), rng_for(15), 1)
+            sample_T(p, rng_for(15), 1)
         assert err.value.best_estimate == 0.0
+        with pytest.raises(NumericError) as audit_err:
+            pair_audit(SamplerConfig(0, 10_000, p))
+        assert str(audit_err.value) == str(err.value)
+        assert audit_err.value.best_estimate == 0.0
 
 
 class TestMcVolumeRatio:
@@ -672,13 +678,12 @@ class TestViolationPath:
         # An off-by-one in the rows the rejection kernel reports makes the
         # audit copy rejected proposals (and, past the block, clamped or
         # stale rows); checking the copies against T itself catches it.
-        blocks = sampling._T_blocks
+        propose = sampling._propose
 
         def shifted(*args):
-            for idx, rate in blocks(*args):
-                yield idx + 1, rate
+            return np.roll(propose(*args), 1)
 
-        monkeypatch.setattr(sampling, "_T_blocks", shifted)
+        monkeypatch.setattr(sampling, "_propose", shifted)
         p = ConstructionParams(2)
         rep = pair_audit(SamplerConfig(0, 10_000, p))
         assert rep.violations > 0

@@ -8,6 +8,10 @@ public functions return) and the CLI's handlers, which its parser binds,
 may instead be referenced from their own module.  A helper nothing uses
 fails here; so do the sampler wrappers once the benchmark drops their
 metrics.
+
+A module-level private function, class or constant must be loaded by
+some module of the package (a name read, an attribute, or an import);
+one that nothing loads is dead code and fails here too.
 """
 
 import ast
@@ -95,3 +99,54 @@ def test_unused_helper_is_reported(monkeypatch):
     monkeypatch.setattr(volume, "helper", helper, raising=False)
     assert unused_public_names() == ["volume.helper"]
 
+
+
+def private_definitions(tree):
+    """Private names a module binds at its top level by def, class or
+    assignment; dunders such as __all__ are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def loaded_names(tree):
+    """Every name read, attribute and imported name in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def package_sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+
+
+def unused_private_names(sources):
+    """module.name for each private top-level name of the modules in
+    sources (module -> source text) that none of them loads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = set().union(*map(loaded_names, trees.values()))
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in private_definitions(tree) if name not in loaded)
+
+
+def test_every_private_name_is_loaded():
+    assert unused_private_names(package_sources()) == []
+
+
+def test_unused_private_helper_is_reported():
+    sources = package_sources()
+    sources["volume"] += "\n\ndef _helper():\n    pass\n\n\n_LIMIT: int = 3\n"
+    assert unused_private_names(sources) == ["volume._LIMIT", "volume._helper"]
