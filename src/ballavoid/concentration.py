@@ -63,15 +63,16 @@ def _width_ok_from(c: float, a: float, strict: bool = False) -> int:
     return max(3, math.floor(k) + 2 if strict else math.ceil(k) + 1)
 
 
-def certified_ratio_lower_bound(n: int, c: float, a: float = CANONICAL_OFFSET) -> float:
-    """Certified lower bound for 2^n * vol S / vol B at dimension n.
+def certified_ratio_lower_bound(n: int, c: float) -> float:
+    """Certified lower bound for 2^n * vol S / vol B at dimension n and the
+    canonical offset.
 
     Valid whenever the theorem's slab (rescaled to radius 1/2) fits inside
     the construction's slab; then vol S / vol B >= 2 (1/2)^n bound(c).
     """
     n = checked_dimension(n, 3)
     bound = concentration_bound(c)
-    needed = _width_ok_from(c, a)
+    needed = _width_ok_from(c, CANONICAL_OFFSET)
     if n < needed:
         raise CertificateError(f"slab width c/sqrt(n-1) exceeds 2a - 1 at n={n}; "
                                f"c={c} certifies only n >= {needed}")

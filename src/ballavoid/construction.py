@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, checked_dimension
 
@@ -60,15 +60,12 @@ def equidistance_residual(a: float) -> float:
 class ConstructionParams:
     """Dimension and offset defining T and S.
 
-    The cap radius and half-space threshold are fixed at 1/2 by the
-    construction; they are class constants so invariants can refer to
-    them by name.
+    The half-space threshold, the small radius and the outer radius are
+    fixed at 1/2, 1/2 and 1 by the construction; _tightened holds them.
     """
 
     n: int
     a: float = CANONICAL_OFFSET
-    cap_radius: ClassVar[float] = 0.5
-    threshold: ClassVar[float] = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_dimension(self.n, 2))
@@ -77,10 +74,11 @@ class ConstructionParams:
 
 def _tightened(params: ConstructionParams, eps: float) -> tuple[float, float, float]:
     """(t, r, R) = (1/2 + eps, 1/2 - eps, 1 - eps): the threshold, small and
-    outer radius of T tightened by eps, which must lie in [0, (a - 1/2)/2)."""
+    outer radius of T, the construction's only three lengths, tightened by
+    eps, which must lie in [0, (a - 1/2)/2)."""
     if not 0.0 <= eps < (params.a - 0.5) / 2.0:
         raise DomainError(f"epsilon must lie in [0, (a - 1/2)/2), got {eps!r} for a={params.a!r}")
-    return params.threshold + eps, params.cap_radius - eps, 1.0 - eps
+    return 0.5 + eps, 0.5 - eps, 1.0 - eps
 
 
 def _in_T_mask(params: ConstructionParams, x1: np.ndarray, sq: np.ndarray,

@@ -13,7 +13,7 @@ mathematical coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .construction import ConstructionParams, _tightened
 from .errors import DomainError
@@ -34,7 +34,7 @@ class FigureSpec:
     offset: float
     segment_half_width: float
     chord_half_width: float
-    junctions: list[tuple[str, float, float]] = field(default_factory=list)
+    junctions: list[tuple[str, float, float]]
 
 
 def build_figure_spec(params: ConstructionParams, epsilon: float = 0.0) -> FigureSpec:

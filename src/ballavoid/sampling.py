@@ -163,11 +163,10 @@ def _chunk_rng(seed: int, stream: int, i: int) -> np.random.Generator:
 class _Buffers:
     """One worker's buffers, reused for every chunk it runs: a proposal
     block of up to CHUNK_ROWS points in reduced coordinates with its work
-    arrays and, for the audit, the first two coordinates of a chunk's
-    points (x's, then y's) and the third coordinate of its y's.  The x's
-    third coordinate is zero and is not stored."""
+    arrays.  _pair_points adds the audit's point arrays on a worker's
+    first audit chunk."""
 
-    def __init__(self, audit: bool = False):
+    def __init__(self):
         rows = CHUNK_ROWS
         self.x1 = np.empty(rows)
         self.rho = np.empty(rows)
@@ -175,9 +174,6 @@ class _Buffers:
         self.sq = np.empty(rows)
         self.keep = np.empty(rows, dtype=bool)
         self.test = np.empty(rows, dtype=bool)
-        if audit:
-            self.points = np.empty((2, 2 * rows))
-            self.y3 = np.empty(rows)
 
 
 def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
@@ -261,11 +257,11 @@ def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, 
     return _in_T_mask(params, x1, sq, s.keep[:m], u, s.test[:m])
 
 
-def _run_chunks(seed: int, stream: int, total: int, audit: bool, work) -> Iterator:
+def _run_chunks(seed: int, stream: int, total: int, work) -> Iterator:
     """Split `total` rows into chunks of CHUNK_ROWS rows and yield
     work(size, _chunk_rng(seed, stream, i), buffers) in chunk order,
     computed on a pool of min(usable CPUs, chunks) threads that each keep
-    one set of buffers.  At most two chunks per thread are submitted and
+    one _Buffers.  At most two chunks per thread are submitted and
     not yet yielded.  The lowest failing chunk's exception is raised, and
     every thread is joined before this finishes or raises."""
     rows = CHUNK_ROWS
@@ -275,7 +271,7 @@ def _run_chunks(seed: int, stream: int, total: int, audit: bool, work) -> Iterat
 
     def run(i: int):
         if not hasattr(local, "buffers"):
-            local.buffers = _Buffers(audit)
+            local.buffers = _Buffers()
         return work(min(rows, total - i * rows), _chunk_rng(seed, stream, i), local.buffers)
 
     pool = ThreadPoolExecutor(workers)
@@ -301,7 +297,7 @@ def mc_volume_ratio(config: SamplerConfig) -> AcceptanceEstimate:
     def hits_in(rows, rng, s):
         return int(np.count_nonzero(_propose(params, rng, s, rows)))
 
-    hits = sum(_run_chunks(config.seed, _VOLUME_STREAM, config.sample_count, False, hits_in))
+    hits = sum(_run_chunks(config.seed, _VOLUME_STREAM, config.sample_count, hits_in))
     if hits == 0:
         raise NumericError(
             f"no proposal of {config.sample_count} landed in T at a={params.a!r}",
@@ -315,7 +311,9 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
     """Draw `pairs` pairs x, y of uniform points of T; return the first two
     coordinates of the x's and then of the y's, as the columns of a
     (2, 2 pairs) view of s.points, and the third coordinates of the y's, a
-    view of s.y3.  The x's third coordinate and all the others are zero.
+    view of s.y3; both are allocated, for CHUNK_ROWS pairs, on a worker's
+    first call, so the volume estimate's workers never hold them.  The
+    x's third coordinate and all the others are zero.
 
     Points are kept by rejection from blocks of min(max(still needed,
     2048), CHUNK_ROWS) proposals of _propose, in draw order, as
@@ -329,6 +327,8 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
     double is never 0.  sin phi = sqrt(1 - cos^2 phi) >= 0, which is 0 at
     n = 2.  cos phi is left in s.x1[:pairs]."""
     n = params.n
+    if not hasattr(s, "points"):
+        s.points, s.y3 = np.empty((2, 2 * CHUNK_ROWS)), np.empty(CHUNK_ROWS)
     p, y3 = s.points[:, : 2 * pairs], s.y3[:pairs]
     filled = hits = proposed = 0
     while filled < 2 * pairs:
@@ -434,7 +434,7 @@ def pair_audit(config: SamplerConfig) -> AuditReport:
     min_cross_sq = math.inf
     max_same_sq = 0.0
     witnesses = []
-    chunks = _run_chunks(config.seed, _AUDIT_STREAM, config.sample_count, True,
+    chunks = _run_chunks(config.seed, _AUDIT_STREAM, config.sample_count,
                          lambda pairs, rng, s: _audit_chunk(params, pairs, rng, s))
     for bad, lo, hi, found in chunks:
         violations += bad

@@ -354,12 +354,12 @@ class TestOptimizeA:
         code, out = run_cli(capsys, ["optimize-a", "--n", "2", "--format", "json"])
         assert code == 0
         doc = json.loads(out)
-        assert abs(doc["results"]["difference"]) <= 1e-7
+        assert doc["results"]["argmax"] == CANONICAL_OFFSET
 
     def test_dimension_independence(self, capsys):
         _, out = run_cli(capsys, ["optimize-a", "--n", "10", "--format", "json"])
         doc = json.loads(out)
-        assert abs(doc["results"]["difference"]) <= 1e-7
+        assert doc["results"]["argmax"] == CANONICAL_OFFSET
 
     def test_precondition(self, capsys):
         code, _ = run_cli(capsys, ["optimize-a", "--n", "1"])
@@ -373,17 +373,20 @@ class TestOptimizeA:
 
     @pytest.mark.parametrize("n", [2, 15, 10000])
     def test_exact_offset_with_no_tolerance_flag(self, capsys, n):
+        keys = ["argmax", "sign_change_exact", "equidistance_residual", "log_volume_drop_at_1e-3"]
         code, out = run_cli(capsys, ["optimize-a", "--n", str(n), "--format", "json"])
         doc = json.loads(out)
         assert code == 0
         assert doc["inputs"] == {"n": n}
-        assert doc["results"]["difference"] == 0.0
+        assert list(doc["results"]) == keys
+        assert doc["results"]["argmax"].hex() == CANONICAL_OFFSET.hex()
         assert doc["results"]["sign_change_exact"] is True
+        _, out = run_cli(capsys, ["optimize-a", "--n", str(n), "--format", "csv"])
+        assert out.splitlines()[0] == ",".join(keys)
 
     def test_volume_check_fails_off_the_maximum(self, capsys, monkeypatch):
-        # An optimizer, reference and sign check that agree on a wrong
-        # offset; the volume is higher at 0.75 - 1e-3.
-        monkeypatch.setattr("ballavoid.cli.maximize_a", lambda n: 0.75)
+        # An offset and sign check that agree on a wrong offset; the volume
+        # is higher at 0.75 - 1e-3.
         monkeypatch.setattr("ballavoid.cli.CANONICAL_OFFSET", 0.75)
         monkeypatch.setattr("ballavoid.cli._sign_change_exact", lambda a: True)
         code, out = run_cli(capsys, ["optimize-a", "--n", "2", "--format", "json"])
@@ -392,12 +395,11 @@ class TestOptimizeA:
 
     def test_sign_check_fails_off_the_root(self, capsys, monkeypatch):
         # 3a^2 - a - 3/4 is already positive at 0.75.
-        monkeypatch.setattr("ballavoid.cli.maximize_a", lambda n: 0.75)
         monkeypatch.setattr("ballavoid.cli.CANONICAL_OFFSET", 0.75)
         code, out = run_cli(capsys, ["optimize-a", "--n", "2", "--format", "json"])
         assert code == 1
         res = json.loads(out)["results"]
-        assert res["difference"] == 0.0
+        assert res["argmax"] == 0.75
         assert res["sign_change_exact"] is False
 
 

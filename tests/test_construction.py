@@ -100,7 +100,7 @@ class TestParams:
     def test_defaults_to_canonical(self):
         p = ConstructionParams(3)
         assert p.a == CANONICAL_OFFSET
-        assert p.cap_radius == 0.5 and p.threshold == 0.5
+        assert _tightened(p, 0.0) == (0.5, 0.5, 1.0)
 
     @pytest.mark.parametrize("bad_a", [0.5, 1.0, 0.2, 1.4])
     def test_offset_range_enforced(self, bad_a):

@@ -295,7 +295,7 @@ class TestReducedCoordinates:
         # cos phi = +-1 exactly and the y's third coordinate is 0; at n = 3
         # cos phi = cos(2 pi V).  _pair_points leaves cos phi in s.x1.
         pairs = 10_000
-        s = sampling._Buffers(audit=True)
+        s = sampling._Buffers()
         _, y3 = sampling._pair_points(ConstructionParams(2), rng_for(32), s, pairs)
         assert set(np.unique(s.x1[:pairs]).tolist()) == {-1.0, 1.0}
         assert (y3 == 0.0).all()
@@ -329,8 +329,7 @@ class TestReducedCoordinates:
         # and 2^16 pairs a side; sample_T's points are paired in draw order.
         p = ConstructionParams(n)
         pairs = sampling.CHUNK_ROWS
-        first_two, y3 = sampling._pair_points(p, rng_for(20 + n), sampling._Buffers(audit=True),
-                                              pairs)
+        first_two, y3 = sampling._pair_points(p, rng_for(20 + n), sampling._Buffers(), pairs)
         reduced = np.vstack([first_two, np.concatenate([np.zeros(pairs), y3])])
         ref, _ = sample_T(p, rng_for(40 + n), 2 * pairs)
         x, y = reduced[:, :pairs], reduced[:, pairs:]
@@ -449,7 +448,7 @@ class TestWorkerThreads:
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="chunk 0"):
-            list(sampling._run_chunks(0, _AUDIT_STREAM, 4 * sampling.CHUNK_ROWS, False, work))
+            list(sampling._run_chunks(0, _AUDIT_STREAM, 4 * sampling.CHUNK_ROWS, work))
         assert threading.active_count() == before
 
     def test_look_ahead_bounded(self, monkeypatch):
@@ -468,8 +467,7 @@ class TestWorkerThreads:
                 overrun.wait(0.2)
             return i
 
-        chunks = iter(sampling._run_chunks(0, _AUDIT_STREAM, 60 * sampling.CHUNK_ROWS, False,
-                                           work))
+        chunks = iter(sampling._run_chunks(0, _AUDIT_STREAM, 60 * sampling.CHUNK_ROWS, work))
         assert next(chunks) == 0
         assert len(started) <= 4
         assert list(chunks) == list(range(1, 60))
@@ -542,7 +540,7 @@ class TestPairAudit:
         rng = rng_for(50)
         tracemalloc.start()
         try:
-            s = sampling._Buffers(audit=True)
+            s = sampling._Buffers()
             sampling._audit_chunk(p, sampling.CHUNK_ROWS, rng, s)
             _, peak = tracemalloc.get_traced_memory()
         finally:

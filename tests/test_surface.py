@@ -12,6 +12,12 @@ metrics.
 A module-level private function, class or constant must be loaded by
 some module of the package (a name read, an attribute, or an import);
 one that nothing loads is dead code and fails here too.
+
+A defaulted parameter of a module-level function must be passed by some
+call in src/, tests/ or perfbench/; one that no caller sets is dead.
+And every function a per_layer metric of BENCHMARK.json names must stay
+a public function of its module, or the traced benchmark cannot measure
+that metric.
 """
 
 import ast
@@ -50,11 +56,16 @@ def imported_from_package(path):
     }
 
 
+def per_layer_names():
+    """Every per_layer metric name in BENCHMARK.json."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [m["name"] for m in benchmark["per_layer"]]
+
+
 def allow_list():
     """module.name -> why a consumer outside src/ needs it."""
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    allowed = {".".join(m["name"].split(".")[:2]): "BENCHMARK.json names a per_layer metric after it"
-               for m in benchmark["per_layer"]}
+    allowed = {".".join(name.split(".")[:2]): "BENCHMARK.json names a per_layer metric after it"
+               for name in per_layer_names()}
     for path, why in (("perfbench/oracle.py", "perfbench's output oracle imports it"),
                       ("tests/test_acceptance.py", "the acceptance gate imports it")):
         allowed.update(dict.fromkeys(imported_from_package(ROOT / path), why))
@@ -99,6 +110,32 @@ def test_unused_helper_is_reported(monkeypatch):
     monkeypatch.setattr(volume, "helper", helper, raising=False)
     assert unused_public_names() == ["volume.helper"]
 
+
+def unmeasurable_metric_functions():
+    """layer.name for each per_layer metric layer.name.metric whose layer is
+    a package module but whose name is not a public function defined there,
+    which is what perfbench/tracer.py wraps."""
+    layers = {info.name for info in pkgutil.iter_modules(ballavoid.__path__)}
+    missing = set()
+    for metric in per_layer_names():
+        parts = metric.split(".")
+        if len(parts) == 3 and parts[0] in layers:
+            module = importlib.import_module(f"ballavoid.{parts[0]}")
+            fn = getattr(module, parts[1], None)
+            if parts[1].startswith("_") or not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
+                missing.add(f"{parts[0]}.{parts[1]}")
+    return sorted(missing)
+
+
+def test_every_metric_function_exists():
+    assert unmeasurable_metric_functions() == []
+
+
+def test_missing_metric_function_is_reported(monkeypatch):
+    from ballavoid import volume
+
+    monkeypatch.delattr(volume, "maximize_a")
+    assert unmeasurable_metric_functions() == ["volume.maximize_a"]
 
 
 def private_definitions(tree):
@@ -150,3 +187,77 @@ def test_unused_private_helper_is_reported():
     sources = package_sources()
     sources["volume"] += "\n\ndef _helper():\n    pass\n\n\n_LIMIT: int = 3\n"
     assert unused_private_names(sources) == ["volume._LIMIT", "volume._helper"]
+
+
+def defaulted_parameters(tree):
+    """function -> (positional parameters, names of the defaulted ones) for
+    each module-level function of a module, positional or keyword-only."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            if defaulted:
+                found[node.name] = (positional, defaulted)
+    return found
+
+
+def passed_parameters(tree, functions):
+    """(function, parameter) for each parameter of functions (name ->
+    (positional, defaulted), as from defaulted_parameters) that some call
+    in tree passes by position, by keyword or through * or **.  A call
+    names its function directly or as an attribute."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in functions:
+            continue
+        positional, defaulted = functions[name]
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            passed.update((name, param) for param in positional)
+        else:
+            passed.update((name, param) for param in positional[: len(node.args)])
+        for keyword in node.keywords:
+            if keyword.arg is None:
+                passed.update((name, param) for param in defaulted)
+            else:
+                passed.add((name, keyword.arg))
+    return passed
+
+
+def caller_sources():
+    """path -> source text of every module in tests/ and perfbench/."""
+    return {path: path.read_text(encoding="utf-8")
+            for pattern in ("tests/*.py", "perfbench/*.py") for path in sorted(ROOT.glob(pattern))}
+
+
+def unpassed_parameters(sources, callers):
+    """module.function(parameter) for each defaulted parameter of a
+    module-level function of the package modules in sources (module ->
+    source text) that no call in them or in callers (any -> source text)
+    passes."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defaults = {module: defaulted_parameters(tree) for module, tree in trees.items()}
+    functions = {name: signature for found in defaults.values() for name, signature in found.items()}
+    passed = set()
+    for tree in [*trees.values(), *map(ast.parse, callers.values())]:
+        passed |= passed_parameters(tree, functions)
+    return sorted(f"{module}.{name}({param})" for module, found in defaults.items()
+                  for name, (_, defaulted) in found.items()
+                  for param in defaulted if (name, param) not in passed)
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_parameters(package_sources(), caller_sources()) == []
+
+
+def test_unpassed_parameter_is_reported():
+    sources = package_sources()
+    sources["volume"] += ("\n\ndef _helper(x, y=1, *, z=2, w=3):\n    pass\n\n\n"
+                          "_helper(0, w=4)\n_helper(*[0])\n")
+    assert unpassed_parameters(sources, caller_sources()) == ["volume._helper(z)"]
