@@ -29,7 +29,6 @@ from .construction import (
     equidistance_residual,
 )
 from .errors import CertificateError, DomainError, NumericError
-from .figure import build_figure_spec, junction_csv, render_svg
 from .specfun import slab_fraction
 from .volume import (MAX_DIMENSION, RatioTable, _sign_change_exact, ratio_S, ratio_table,
                      vol_T_closed_form)
@@ -299,6 +298,9 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    # Imported here: no other subcommand draws the figure.
+    from .figure import build_figure_spec, junction_csv, render_svg
+
     spec = build_figure_spec(ConstructionParams(2, args.a), args.epsilon)
     csv_path = os.path.splitext(args.out)[0] + ".points.csv"
     rc = _write_out(render_svg(spec), args.out) or _write_out(junction_csv(spec), csv_path)

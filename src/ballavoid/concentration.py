@@ -2,7 +2,10 @@
 
 Most of a high-dimensional ball's volume lies near any hyperplane through
 the center: for n >= 3 and c >= 1 the slab |x_1| <= c/sqrt(n-1) holds a
-fraction at least 1 - (2/c) e^(-c^2/2) of the unit ball.  Rescaled to the
+fraction at least 1 - (2/c) e^(-c^2/2) of the unit ball (A. Blum,
+J. Hopcroft and R. Kannan, Foundations of Data Science, Cambridge UP,
+2020, Theorem 2.7, in this form; see also K. Ball, An Elementary
+Introduction to Modern Convex Geometry, 1997, Lecture 8).  Rescaled to the
 radius-1/2 ball (fractions are scale invariant), this certifies
 vol S / vol B > (1/2)^n for every dimension where the theorem's slab fits
 inside the construction's slab of half-width a - 1/2, i.e. where
@@ -35,8 +38,8 @@ class ConcentrationCertificate:
 
 #: Every certifying constant exceeds this one: the c with bound factor
 #: 2 (1 - (2/c) e^(-c^2/2)) = 1, i.e. c^2 e^(c^2) = 16, so c* = sqrt(W(16))
-#: (Lambert W), to the nearest double.  Slab bound: K. Ball, An Elementary
-#: Introduction to Modern Convex Geometry, 1997, Lecture 8.
+#: (Lambert W), to the nearest double.  Slab bound: Blum, Hopcroft and
+#: Kannan (2020), Theorem 2.7 (module docstring).
 C_STAR = 1.4328966178558202
 
 

@@ -23,6 +23,8 @@ kernels take only ``Generator.random``: Ulrich's transform (G. Ulrich,
 Applied Statistics 33 (1984) 158-163) draws a coordinate of a uniform
 point of a sphere from two uniforms, a power and a cosine, so the
 reference's Gaussian construction stays an independent check of them.
+Each cosine cos(2 pi V) is taken by an exact fold of V to a sine on
+[0, pi/4] (see _cos_2pi); no array cosine is called.
 The audit stores a chunk as the first two coordinates of its points and
 the third of its y's, and forms squared distances row by row in the
 proposal block's buffers, which are free by then.
@@ -221,6 +223,30 @@ def sample_T(params: ConstructionParams, rng: np.random.Generator,
     return points, hits / proposed if proposed else 0.0
 
 
+def _cos_2pi(v: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Overwrite uniforms v in [0, 1) with cos(2 pi v) and return v; work,
+    of v's shape, is scratch.
+
+    For such v, f = |v - 1/2| - 1/4 and g = 1/4 - |f| are exact on the
+    2^-53 grid (Sterbenz, or the result needs at most 52 bits), and
+    cos(2 pi v) = sin(2 pi f) = copysign(cos(2 pi g), f) with
+    cos(2 pi g) = 1 - 2 sin^2(pi g) and pi g in [0, pi/4], where the sine
+    is short and accurate.  g <= 1/4, and the sine and every operation
+    after it are monotone in g there, so the result's magnitude is at
+    least 1 - 2 sin^2(fl(pi/4)) = 2^-52: it is never 0."""
+    v -= 0.5
+    np.abs(v, out=v)
+    v -= 0.25  # f
+    np.abs(v, out=work)
+    np.subtract(0.25, work, out=work)  # g
+    work *= math.pi
+    np.sin(work, out=work)
+    np.multiply(work, work, out=work)
+    work *= -2.0
+    work += 1.0
+    return np.copysign(work, v, out=v)
+
+
 def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, m: int):
     """Overwrite s.x1[:m] and s.rho[:m] with x_1 and rho = |x - x_1 e_1|
     of m uniform points x of B(a e_1, 1/2); return the mask of those in T.
@@ -232,7 +258,8 @@ def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, 
     (Ulrich's transform), and given t the next n - 1 coordinates hold the
     fraction W = Z^(2/(n-1)) ~ Beta((n-1)/2, 1) of the remaining 1 - t^2,
     for independent U, V, Z ~ U(0, 1), drawn in that order.  So
-    x_1 = a + t/2 and rho = sqrt((1 - t^2) W)/2."""
+    x_1 = a + t/2 and rho = sqrt((1 - t^2) W)/2.  The cosine is _cos_2pi's,
+    with s.sq[:m] as its scratch."""
     n = params.n
     x1, rho, u, sq = s.x1[:m], s.rho[:m], s.u[:m], s.sq[:m]
     rng.random(out=x1)
@@ -240,9 +267,7 @@ def _propose(params: ConstructionParams, rng: np.random.Generator, s: _Buffers, 
     np.subtract(1.0, x1, out=x1)
     np.sqrt(x1, out=x1)
     rng.random(out=rho)
-    rho *= 2.0 * math.pi
-    np.cos(rho, out=rho)
-    x1 *= rho  # t
+    x1 *= _cos_2pi(rho, sq)  # t
     rng.random(out=u)
     u **= 2.0 / (n - 1)  # W
     np.multiply(x1, x1, out=sq)
@@ -323,9 +348,10 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
     is distributed as the first coordinate of a uniform point of S^(n-2),
     which Ulrich's transform draws from V and then U ~ U(0, 1) as
     sqrt(1 - U^(2/(n-3))) cos(2 pi V) for n >= 4, as cos(2 pi V) on the
-    circle at n = 3, and as its sign, +-1, at n = 2; the cosine of a
-    double is never 0.  sin phi = sqrt(1 - cos^2 phi) >= 0, which is 0 at
-    n = 2.  cos phi is left in s.x1[:pairs]."""
+    circle at n = 3, and as its sign, +-1, at n = 2; _cos_2pi, with the
+    free s.rho[:pairs] as scratch, never returns 0.
+    sin phi = sqrt(1 - cos^2 phi) >= 0, which is 0 at n = 2.  cos phi is
+    left in s.x1[:pairs]."""
     n = params.n
     if not hasattr(s, "points"):
         s.points, s.y3 = np.empty((2, 2 * CHUNK_ROWS)), np.empty(CHUNK_ROWS)
@@ -346,8 +372,7 @@ def _pair_points(params: ConstructionParams, rng: np.random.Generator, s: _Buffe
     rho_y = p[1, pairs:]
     cos_phi = s.x1[:pairs]
     rng.random(out=cos_phi)
-    cos_phi *= 2.0 * math.pi
-    np.cos(cos_phi, out=cos_phi)
+    _cos_2pi(cos_phi, s.rho[:pairs])
     if n == 2:
         np.sign(cos_phi, out=cos_phi)
     elif n > 3:

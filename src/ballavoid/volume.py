@@ -151,8 +151,10 @@ def _log_cos_power(n: int, lo: float, hi: float):
     # sqrt(tan^2 p + room) - |tan p| cancels to 0 on a steep peak.
     reach = room / (math.sqrt(slope * slope + room) + abs(slope))
 
+    exp, log1p, sin = math.exp, math.log1p, math.sin  # local names: the loop below is hot
+
     def g(d):
-        return [math.exp(n * math.log1p(-2.0 * math.sin(0.5 * t) ** 2 - slope * math.sin(t))) for t in d]
+        return [exp(n * log1p(-2.0 * sin(0.5 * t) ** 2 - slope * sin(t))) for t in d]
 
     value, err = adaptive_gauss_legendre(g, max(lo - p, -reach), min(hi - p, reach))
     return n * math.log(math.cos(p)) + math.log(value), err / value

@@ -809,7 +809,8 @@ print(sorted(m for m in ("scipy", "mpmath") if m in sys.modules))
         script = ("import sys, ballavoid.cli\n"
                   "ballavoid.cli.build_parser()\n"
                   "print(sorted(m for m in ('concurrent.futures', 'logging', 'fractions',"
-                  " 'decimal', 'numpy', 'numpy.polynomial', 'ballavoid.sampling')"
+                  " 'decimal', 'numpy', 'numpy.polynomial', 'ballavoid.sampling',"
+                  " 'ballavoid.figure')"
                   " if m in sys.modules))\n")
         src = os.path.dirname(os.path.dirname(ballavoid.__file__))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

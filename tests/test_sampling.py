@@ -343,18 +343,47 @@ class TestReducedCoordinates:
             assert ks_2samp(got, want).pvalue > 1e-3, name
 
 
+class TestCos2Pi:
+    # Every cosine of the reduced-coordinate kernels is drawn by this fold;
+    # direct_audit calls it too, so it is checked here on its own.
+    EDGES = ([k / 8 for k in range(8)] + [1.0 - 2.0**-53]
+             + [math.nextafter(q, d) for q in (0.25, 0.75) for d in (0.0, 1.0)])
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        v = np.concatenate([rng_for(31).random(2**14), self.EDGES])
+        got = sampling._cos_2pi(v.copy(), np.empty_like(v))
+        with mpmath.workdps(40):
+            err = max(abs(mpmath.mpf(c) - mpmath.cos(2 * mpmath.pi * mpmath.mpf(x)))
+                      for x, c in zip(v.tolist(), got.tolist()))
+        assert err <= 5e-16
+        assert np.abs(got).max() <= 1.0
+        assert np.all(got != 0.0)
+
+    def test_never_zero(self):
+        # g = 1/4 - |f| is largest, 1/4, at v = 1/4 and 3/4, where the
+        # result is its smallest magnitude, 1 - 2 sin^2(fl(pi/4)) = 2^-52;
+        # n = 2 takes the sign of cos phi and relies on it being nonzero.
+        floor = 1.0 - 2.0 * math.sin(math.pi / 4) ** 2
+        assert floor == 2.0**-52
+        near = [q + k * 2.0**-53 for q in (0.25, 0.75) for k in range(-64, 65)]
+        v = np.concatenate([rng_for(32).random(2**14), self.EDGES, near])
+        got = sampling._cos_2pi(v, np.empty_like(v))
+        assert np.abs(got).min() == floor
+
+
 # Seeded results of the single-threaded sampler, which every worker count
 # must reproduce bit for bit; the first configuration spans four chunks,
 # and the last takes 1 - U^(2/n) at n = 10000, where U^(2/n) is near 1.
 PINNED = [
     (
         SamplerConfig(0, 200_000, ConstructionParams(2)),
-        AuditReport(200_000, 0, 1.004863175594912, 0.9943320300692835),
+        AuditReport(200_000, 0, 1.0048631755949118, 0.9943320300692834),
         114_194,
     ),
     (
         SamplerConfig(11, 20_000, ConstructionParams(64)),
-        AuditReport(20_000, 0, 1.2128819890496825, 0.8532644353209),
+        AuditReport(20_000, 0, 1.2128819890496823, 0.8532644353209),
         19_969,
     ),
     (
@@ -579,7 +608,7 @@ def direct_audit(cfg, accept):
         blocks, filled = [], 0
         while filled < 2 * k:
             m = min(max(2 * k - filled, 2048), rows)
-            t = np.sqrt(1.0 - rng.random(m) ** (2.0 / n)) * np.cos(2.0 * np.pi * rng.random(m))
+            t = np.sqrt(1.0 - rng.random(m) ** (2.0 / n)) * cos_2pi(rng.random(m))
             w = rng.random(m) ** (2.0 / (n - 1))
             block = np.zeros((m, n))
             block[:, 0] = a + t / 2
@@ -587,7 +616,7 @@ def direct_audit(cfg, accept):
             blocks.append(accept(params, block)[: 2 * k - filled])
             filled += blocks[-1].shape[0]
         points = np.concatenate(blocks)
-        cos_phi = np.cos(2.0 * np.pi * rng.random(k))
+        cos_phi = cos_2pi(rng.random(k))
         if n == 2:
             cos_phi = np.sign(cos_phi)
         elif n > 3:
@@ -613,6 +642,10 @@ def direct_audit(cfg, accept):
         extremes.append((cross.min(), same.max()))
     return AuditReport(cfg.sample_count, violations, min(lo for lo, _ in extremes),
                        max(hi for _, hi in extremes), tuple(witnesses))
+
+
+def cos_2pi(v):
+    return sampling._cos_2pi(v, np.empty_like(v))
 
 
 def accept_in_T(params, block):
