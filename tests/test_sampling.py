@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -348,10 +351,13 @@ class TestCos2Pi:
     # direct_audit calls it too, so it is checked here on its own.
     EDGES = ([k / 8 for k in range(8)] + [1.0 - 2.0**-53]
              + [math.nextafter(q, d) for q in (0.25, 0.75) for d in (0.0, 1.0)])
+    # 2^11 points within 2^-19 of 1/4 and 3/4, where 2/(1 + tan^2) - 1
+    # cancels to near 0.
+    CANCELLING = [q + k * 2.0**-28 for q in (0.25, 0.75) for k in range(-512, 512)]
 
     def test_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
-        v = np.concatenate([rng_for(31).random(2**14), self.EDGES])
+        v = np.concatenate([rng_for(31).random(2**14), self.EDGES, self.CANCELLING])
         got = sampling._cos_2pi(v.copy(), np.empty_like(v))
         with mpmath.workdps(40):
             err = max(abs(mpmath.mpf(c) - mpmath.cos(2 * mpmath.pi * mpmath.mpf(x)))
@@ -362,9 +368,14 @@ class TestCos2Pi:
 
     def test_never_zero(self):
         # g = 1/4 - |f| is largest, 1/4, at v = 1/4 and 3/4, where the
-        # result is its smallest magnitude, 1 - 2 sin^2(fl(pi/4)) = 2^-52;
-        # n = 2 takes the sign of cos phi and relies on it being nonzero.
-        floor = 1.0 - 2.0 * math.sin(math.pi / 4) ** 2
+        # result is its smallest magnitude: tan(fl(pi/4)) = 1 - 2^-53, whose
+        # square rounds to 1 - 2^-52, so 2/(1 + tan^2) - 1 = 2^-52.  Each
+        # step is monotone in g while the tangent is, which the grid around
+        # the two points checks; n = 2 takes the sign of cos phi and relies
+        # on it being nonzero.
+        tan = np.tan(np.float64(math.pi / 4))
+        assert tan == 1.0 - 2.0**-53
+        floor = 2.0 / (1.0 + tan * tan) - 1.0
         assert floor == 2.0**-52
         near = [q + k * 2.0**-53 for q in (0.25, 0.75) for k in range(-64, 65)]
         v = np.concatenate([rng_for(32).random(2**14), self.EDGES, near])
@@ -378,12 +389,12 @@ class TestCos2Pi:
 PINNED = [
     (
         SamplerConfig(0, 200_000, ConstructionParams(2)),
-        AuditReport(200_000, 0, 1.0048631755949118, 0.9943320300692834),
+        AuditReport(200_000, 0, 1.0048631755949118, 0.9943320300692835),
         114_194,
     ),
     (
         SamplerConfig(11, 20_000, ConstructionParams(64)),
-        AuditReport(20_000, 0, 1.2128819890496823, 0.8532644353209),
+        AuditReport(20_000, 0, 1.2128819890496823, 0.8532644353209001),
         19_969,
     ),
     (
@@ -423,6 +434,46 @@ class TestSeededOutput:
             results.append((pair_audit(cfg), mc_volume_ratio(cfg)))
         assert results[0] == results[1]
         assert results[0][0] == report
+
+
+def avx512_dispatch_groups():
+    """numpy's AVX-512 dispatch groups that it finds on this host; none
+    once NPY_DISABLE_CPU_FEATURES names them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = umath.__cpu_features__
+    return [group for group in umath.__cpu_dispatch__
+            if found.get(group) and (group == "X86_V4" or group.startswith("AVX512"))]
+
+
+def test_independent_of_simd_dispatch():
+    # np.tan runs numpy's AVX-512 loop where the host has one and libm's
+    # otherwise.  A fresh interpreter with those groups switched off must
+    # reproduce the pins and pass _cos_2pi's checks.
+    groups = avx512_dispatch_groups()
+    if not groups:
+        pytest.skip("numpy finds no AVX-512 dispatch group on this host")
+    here = pathlib.Path(__file__)
+    code = (
+        "import sys\n"
+        "import pytest\n"
+        "from test_sampling import avx512_dispatch_groups\n"
+        "groups = avx512_dispatch_groups()\n"
+        "if groups:\n"
+        "    sys.exit(f'still dispatched: {groups}')\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n"
+    )
+    tests = [f"{here}::TestSeededOutput::test_pinned", f"{here}::TestCos2Pi"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *tests], cwd=here.parent,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(groups),
+             "PYTHONPATH": os.path.dirname(os.path.dirname(sampling.__file__))},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(PINNED) + 2} passed" in proc.stdout, proc.stdout
 
 
 class TestWorkerThreads:

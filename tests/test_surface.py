@@ -18,6 +18,9 @@ call in src/, tests/ or perfbench/; one that no caller sets is dead.
 And every function a per_layer metric of BENCHMARK.json names must stay
 a public function of its module, or the traced benchmark cannot measure
 that metric.
+
+sampling.py calls neither np.sin nor np.cos: every cosine of verify's
+kernels comes from _cos_2pi's fold to a tangent, as README states.
 """
 
 import ast
@@ -261,3 +264,20 @@ def test_unpassed_parameter_is_reported():
     sources["volume"] += ("\n\ndef _helper(x, y=1, *, z=2, w=3):\n    pass\n\n\n"
                           "_helper(0, w=4)\n_helper(*[0])\n")
     assert unpassed_parameters(sources, caller_sources()) == ["volume._helper(z)"]
+
+
+def array_trig_calls(source):
+    """np.sin or np.cos for each call of either in source."""
+    return [f"np.{node.func.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("sin", "cos")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+
+
+def test_sampling_calls_no_array_sine_or_cosine():
+    assert array_trig_calls(package_sources()["sampling"]) == []
+
+
+def test_array_sine_call_is_reported():
+    source = package_sources()["sampling"] + "\n\nnp.sin(np.zeros(1), out=None)\n"
+    assert array_trig_calls(source) == ["np.sin"]
