@@ -22,7 +22,7 @@ import math
 import os
 import sys
 
-from .concentration import _certificate, certifying_constants, concentration_bound
+from .concentration import certifying_constants, concentration_bound, minimal_certified_n
 from .construction import (
     CANONICAL_OFFSET,
     ConstructionParams,
@@ -270,12 +270,10 @@ def cmd_optimize_a(args) -> int:
 
 def cmd_threshold(args) -> int:
     c_lo, c_hi, n_min = certifying_constants(args.a, args.c_min, args.c_max)
-    # Checked before the certificate: within ~1e-12 of a = 1/2, n_min is
-    # 1e23 or more and c_hi rounds down to C_STAR, whose bound factor is 1.
     if n_min - 1 > MAX_DIMENSION:
         raise DomainError(f"at offset a={args.a!r}, c={c_hi:.10g} certifies only n >= {n_min}; "
                           f"direct checks up to n={n_min - 1} exceed {MAX_DIMENSION}")
-    bound_factor = _certificate(c_hi, args.a, n_min).bound_factor
+    bound_factor = minimal_certified_n(c_hi, args.a).bound_factor
     direct = ratio_table(n_min - 1, args.a)
     ok = n_min <= 15 and bool((direct.margin > 0).all())
     results = {

@@ -50,10 +50,9 @@ def concentration_bound(c: float) -> float:
     return 1.0 - (2.0 / c) * math.exp(-0.5 * c * c)
 
 
-def _width_ok_from(c: float, a: float, strict: bool = False) -> int:
-    """Smallest n with c/sqrt(n-1) <= 2a - 1, or < 2a - 1 when strict (the
-    smallest n that admits constants just above c).  k = (c / (2a - 1))^2
-    is exact in the doubles c and a, so n is exact at every size."""
+def _width_ok_from(c: float, a: float) -> int:
+    """Smallest n >= 3 with c/sqrt(n-1) <= 2a - 1.  k = (c / (2a - 1))^2 is
+    exact in the doubles c and a, so n is exact at every size."""
     # Imported here, not at the top: fractions imports decimal, which adds
     # 5-8 ms (~3 % on a 2-vCPU Intel Xeon VM) to every start-up of the CLI,
     # for a path only threshold takes.
@@ -63,7 +62,7 @@ def _width_ok_from(c: float, a: float, strict: bool = False) -> int:
     k = (Fraction(c) / (2 * Fraction(a) - 1)) ** 2 if math.isfinite(c) else math.inf
     if not k <= sys.float_info.max:
         raise DomainError(f"c={c!r} fits the slab only in dimensions beyond the float range")
-    return max(3, math.floor(k) + 2 if strict else math.ceil(k) + 1)
+    return max(3, math.ceil(k) + 1)
 
 
 def certified_ratio_lower_bound(n: int, c: float) -> float:
@@ -82,19 +81,13 @@ def certified_ratio_lower_bound(n: int, c: float) -> float:
     return 2.0 * bound
 
 
-def _certificate(c: float, a: float, n_min: int | None = None) -> ConcentrationCertificate:
-    """c's certificate at offset a, if its bound factor, checked first, is
-    above 1.  A caller that has made the width test passes its n_min."""
+def minimal_certified_n(c: float, a: float = CANONICAL_OFFSET) -> ConcentrationCertificate:
+    """Certificate for the smallest dimension the constant c covers, if its
+    bound factor, checked first, is above 1."""
     bound_factor = 2.0 * concentration_bound(c)
     if not bound_factor > 1.0:
         raise CertificateError(f"c={c} gives bound factor {bound_factor:.6f} <= 1: no certificate")
-    n_min = _width_ok_from(c, a) if n_min is None else n_min  # at least 3 already
-    return ConcentrationCertificate(c=c, n_min=n_min, bound_factor=bound_factor)
-
-
-def minimal_certified_n(c: float, a: float = CANONICAL_OFFSET) -> ConcentrationCertificate:
-    """Certificate for the smallest dimension the constant c covers."""
-    return _certificate(c, a)
+    return ConcentrationCertificate(c=c, n_min=_width_ok_from(c, a), bound_factor=bound_factor)
 
 
 def certifying_constants(
@@ -103,21 +96,24 @@ def certifying_constants(
     """The constants in [c_min, c_max] that certify the smallest dimension
     n_min, as the interval (c_lo, c_hi], closed at c_lo if c_lo = c_min >
     C_STAR, and n_min itself.  The bound factor grows with c and the slab
-    needs c <= (2a - 1) sqrt(n - 1), so c_lo = max(c_min, C_STAR) and c_hi
-    is the largest double up to min(c_max, (2a - 1) sqrt(n_min - 1)) that
-    certifies n_min in exact arithmetic.
+    needs c <= (2a - 1) sqrt(n - 1), so c_lo = max(c_min, C_STAR), n_min is
+    the width of the smallest double that certifies (c_lo, or the double
+    after C_STAR, whose own bound factor rounds to 1), and c_hi is the
+    largest double up to min(c_max, (2a - 1) sqrt(n_min - 1)).
     """
     if not 1.0 <= c_min <= c_max:
         raise DomainError(f"need 1 <= c_min <= c_max, got [{c_min}, {c_max}]")
     if not c_max > C_STAR:
         raise CertificateError(f"no certifying constant in [{c_min}, {c_max}]")
     c_lo = max(c_min, C_STAR)
-    n_min = _width_ok_from(c_lo, a, strict=c_lo == C_STAR)
-    c_hi = min(c_max, (2.0 * a - 1.0) * math.sqrt(n_min - 1.0))
-    # The rounded boundary can lie a few ulps beyond the exact one.
-    while _width_ok_from(c_hi, a) > n_min:
-        c_hi = math.nextafter(c_hi, 0.0)
-    return c_lo, c_hi, n_min
+    n_min = _width_ok_from(c_lo if c_lo > C_STAR else math.nextafter(C_STAR, math.inf), a)
+    # m = floor((2a - 1) sqrt(n_min - 1) 2^53) by an exact integer square
+    # root.  The form is at least C_STAR > 1, so m has 54 bits or more, and
+    # m cut to 53 bits is the largest double up to the form.
+    p, q = a.as_integer_ratio()
+    m = math.isqrt(((2 * p - q) ** 2 * (n_min - 1) << 106) // (q * q))
+    shift = m.bit_length() - 53
+    return c_lo, min(c_max, math.ldexp(m >> shift, shift - 53)), n_min
 
 
 def best_certificate(
@@ -125,6 +121,4 @@ def best_certificate(
 ) -> ConcentrationCertificate:
     """The certificate with the smallest n_min over c in [c_min, c_max],
     at the largest such c (the most slack above 1)."""
-    _, c_hi, n_min = certifying_constants(a, c_min, c_max)
-    return _certificate(c_hi, a, n_min)
-
+    return minimal_certified_n(certifying_constants(a, c_min, c_max)[1], a)

@@ -128,15 +128,18 @@ def reg_inc_beta(z: float, alpha: float, beta: float) -> float:
     (against 40-digit mpmath; the largest found is 1.8e-12, at n = 265
     and t = 0.1).
     """
-    if not (alpha > 0 and beta > 0):
-        raise DomainError(f"shape parameters must be positive, got alpha={alpha!r}, beta={beta!r}")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise DomainError(f"shape parameters must be positive and finite, got alpha={alpha!r}, beta={beta!r}")
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"z must lie in [0, 1], got {z!r}")
     if z == 0.0:
         return 0.0
     if z == 1.0:
         return 1.0
-    front = math.exp(_log_beta_front(z, alpha, beta))
+    try:
+        front = math.exp(_log_beta_front(z, alpha, beta))
+    except OverflowError as exc:
+        raise NumericError(f"incomplete beta front factor overflows (a={alpha}, b={beta}, z={z})") from exc
     if z < (alpha + 1.0) / (alpha + beta + 2.0):
         return front * _beta_continued_fraction(alpha, beta, z) / alpha
     return 1.0 - front * _beta_continued_fraction(beta, alpha, 1.0 - z) / beta

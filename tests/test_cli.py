@@ -457,8 +457,8 @@ class TestThreshold:
 
     @pytest.mark.parametrize("a", ["0.5000000000000001", "0.500000000001", "0.5000001"])
     def test_offset_near_half_is_usage_error(self, capsys, a):
-        # The two closest offsets exited 1 with "no certificate": c_hi
-        # rounded to C_STAR before the range was checked.
+        # Within ~1e-12 of a = 1/2, n_min is 1e23 or more: the range check
+        # reports it as a usage error, not as a failed certificate.
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--a", a])
         assert exc.value.code == 2
@@ -468,11 +468,12 @@ class TestThreshold:
 
     @pytest.mark.parametrize("a", ["0.5001", "0.500001", "0.505"])
     def test_range_error_names_exact_n_min(self, capsys, a):
-        # n_min is the smallest n with C_STAR < (2a - 1) sqrt(n - 1), in
-        # exact arithmetic on the doubles.  Worked out again from the
-        # rounded c_hi, it printed 51329820 and 513298179339 at the first
-        # two offsets.
-        n_min = math.floor((Fraction(C_STAR) / (2 * Fraction(float(a)) - 1)) ** 2) + 2
+        # n_min is the smallest n with c <= (2a - 1) sqrt(n - 1) for c the
+        # double after C_STAR, the smallest that certifies, in exact
+        # arithmetic on the doubles.  Worked out again from the rounded
+        # c_hi, it printed 51329820 and 513298179339 at the first two offsets.
+        c = math.nextafter(C_STAR, math.inf)
+        n_min = math.ceil((Fraction(c) / (2 * Fraction(float(a)) - 1)) ** 2) + 1
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--a", a])
         assert exc.value.code == 2

@@ -134,6 +134,12 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 1.0, -2.0)
+        with pytest.raises(DomainError):
+            reg_inc_beta(0.5, math.inf, 1.0)
+        with pytest.raises(DomainError):
+            reg_inc_beta(0.5, 1.0, math.inf)
+        with pytest.raises(NumericError):
+            reg_inc_beta(0.5, 1e308, 1.0)
 
 
 # Dimensions over the documented range, and cap ends t below 1/8 (where a
