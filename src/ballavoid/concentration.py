@@ -14,16 +14,15 @@ c/sqrt(n-1) <= 2a - 1.
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
-from dataclasses import dataclass
 
 from .construction import CANONICAL_OFFSET, _check_offset
 from .errors import CertificateError, DomainError, checked_dimension
 
 
-@dataclass(frozen=True)
-class ConcentrationCertificate:
+class ConcentrationCertificate(collections.namedtuple("ConcentrationCertificate", "c n_min bound_factor")):
     """A constant c together with the range of dimensions it certifies.
 
     bound_factor = 2 (1 - (2/c) e^(-c^2/2)) is the certified lower bound
@@ -31,9 +30,7 @@ class ConcentrationCertificate:
     exceeds 1.
     """
 
-    c: float
-    n_min: int
-    bound_factor: float
+    __slots__ = ()
 
 
 #: Every certifying constant exceeds this one: the c with bound factor

@@ -12,14 +12,10 @@ the distinguished axis is coordinate 0.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, checked_dimension
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Offset of the small-ball center along e_1 that maximizes the volume of T:
 #: the root (1 + sqrt 10)/6 of 3a^2 - a - 3/4 = 0 in (1/2, 1), as the nearest
@@ -56,20 +52,19 @@ def equidistance_residual(a: float) -> float:
     return (a - 0.5) - (chord_coordinate(a) - a)
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(collections.namedtuple("ConstructionParams", "n a")):
     """Dimension and offset defining T and S.
 
     The half-space threshold, the small radius and the outer radius are
     fixed at 1/2, 1/2 and 1 by the construction; _tightened holds them.
     """
 
-    n: int
-    a: float = CANONICAL_OFFSET
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", checked_dimension(self.n, 2))
-        _check_offset(self.a)
+    def __new__(cls, n, a=CANONICAL_OFFSET):
+        n = checked_dimension(n, 2)
+        _check_offset(a)
+        return super().__new__(cls, n, a)
 
 
 def _tightened(params: ConstructionParams, eps: float) -> tuple[float, float, float]:
@@ -81,8 +76,7 @@ def _tightened(params: ConstructionParams, eps: float) -> tuple[float, float, fl
     return 0.5 + eps, 0.5 - eps, 1.0 - eps
 
 
-def _in_T_mask(params: ConstructionParams, x1: np.ndarray, sq: np.ndarray,
-               out: np.ndarray, work: np.ndarray, test: np.ndarray) -> np.ndarray:
+def _in_T_mask(params: ConstructionParams, x1, sq, out, work, test):
     """The definition of T, written once: out = (t < x1) & (sq < R^2) &
     (sq - 2a x1 < r^2 - a^2) for first coordinates x1 and squared norms sq,
     with (t, r, R) = (1/2, 1/2, 1) from _tightened at eps = 0.  work (float)
@@ -99,7 +93,7 @@ def _in_T_mask(params: ConstructionParams, x1: np.ndarray, sq: np.ndarray,
     return out
 
 
-def component(params: ConstructionParams, X) -> np.ndarray:
+def component(params: ConstructionParams, X):
     """Component labels of the points X (shape (..., n)) as int8: +1 in T,
     -1 in -T, 0 outside S."""
     import numpy as np

@@ -12,8 +12,8 @@ mathematical coordinates.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
 from .construction import ConstructionParams, _tightened
 from .errors import DomainError
@@ -23,18 +23,13 @@ _CANVAS = 2.2
 _SCALE = 256.0  # pixels per model unit
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """Radii and junction points of both components of S_2.  junctions
-    holds four (label, x, y) per component, in the order its boundary
+class FigureSpec(collections.namedtuple(
+        "FigureSpec", "small_radius outer_radius offset segment_half_width chord_half_width junctions")):
+    """Radii and junction points of both components of S_2.  junctions is
+    a list of four (label, x, y) per component, in the order its boundary
     passes them, positive component first."""
 
-    small_radius: float
-    outer_radius: float
-    offset: float
-    segment_half_width: float
-    chord_half_width: float
-    junctions: list[tuple[str, float, float]]
+    __slots__ = ()
 
 
 def build_figure_spec(params: ConstructionParams, epsilon: float = 0.0) -> FigureSpec:

@@ -51,14 +51,13 @@ chunk's exception is the one raised.
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 import os
 import threading
-from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,50 +81,45 @@ _AUDIT_STREAM = 0
 _VOLUME_STREAM = 1
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Seed, sample count, and geometry for one reproducible run."""
+class SamplerConfig(collections.namedtuple("SamplerConfig", "seed sample_count params")):
+    """Seed, sample count, and geometry (a ConstructionParams) for one
+    reproducible run."""
 
-    seed: int
-    sample_count: int
-    params: ConstructionParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        seed, count = self.seed, self.sample_count  # integers as checked_dimension takes them
+    def __new__(cls, seed, sample_count, params):
+        # Integers as checked_dimension takes them.
         if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count > 0):
-            raise DomainError(f"sample_count must be positive, got {count!r}")
+        if isinstance(sample_count, bool) or not (isinstance(sample_count, numbers.Integral)
+                                                  and sample_count > 0):
+            raise DomainError(f"sample_count must be positive, got {sample_count!r}")
+        return super().__new__(cls, seed, sample_count, params)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(collections.namedtuple(
+        "AuditReport", "pairs_tested violations min_cross_distance max_same_distance violating_pairs",
+        defaults=((),))):
     """Aggregate of a pair audit of `pairs_tested` pairs x, y of points of
     T, each checked both ways: as the same-component pair at |x - y| and
     as the cross pair at |x + y|.  Violations must be zero for the theorem
     to stand (a drawn point outside T, a same-component distance >= 1 or
-    a cross distance <= 1 counts as a violation, never dropped)."""
+    a cross distance <= 1 counts as a violation, never dropped).
 
-    pairs_tested: int
-    violations: int
-    min_cross_distance: float
-    max_same_distance: float
-    # Full-precision witnesses (x, y, tag, distance) for any violations,
-    # capped at 10; empty on every healthy run.  A cross witness is
-    # (x, -y).  An "outside" witness is a drawn point not in T: y is empty
-    # and distance is |x|.
-    violating_pairs: tuple = ()
+    violating_pairs holds full-precision witnesses (x, y, tag, distance)
+    for any violations, capped at 10; it is empty on every healthy run.  A
+    cross witness is (x, -y).  An "outside" witness is a drawn point not
+    in T: y is empty and distance is |x|."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AcceptanceEstimate:
+class AcceptanceEstimate(collections.namedtuple("AcceptanceEstimate", "n hits proposals")):
     """Counts of the Monte Carlo volume estimate: `hits` of `proposals`
     uniform points of B(a e_1, 1/2) in dimension n land in T.  The ratio
     vol S / vol B = 2 (1/2)^n q, q = hits / proposals, derives from them."""
 
-    n: int
-    hits: int
-    proposals: int
+    __slots__ = ()
 
     @property
     def log_value(self) -> LogValue:
@@ -304,7 +298,7 @@ def _run_chunks(seed: int, stream: int, total: int, work) -> Iterator:
         return work(min(rows, total - i * rows), _chunk_rng(seed, stream, i), local.buffers)
 
     pool = ThreadPoolExecutor(workers)
-    pending = deque()
+    pending = collections.deque()
     try:
         for i in range(chunks):
             if len(pending) == 2 * workers:

@@ -7,15 +7,11 @@ n ~ 1470 and 2^-n scale ratios lose precision far earlier.
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError, checked_dimension
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Cap fractions whose incomplete-beta front factor lies below exp(this) are
 # carried as logs.  A cap is front * h / (n + 1) with h >= 1, so above it
@@ -27,11 +23,10 @@ _LOG_LINEAR_MIN = -650.0
 _SERIES_FROM = 250.5
 
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(collections.namedtuple("LogValue", "log_magnitude")):
     """A positive quantity stored as its natural logarithm."""
 
-    log_magnitude: float
+    __slots__ = ()
 
     def linear(self) -> float:
         """Linear-scale value; subnormal or zero where it underflows."""
@@ -190,7 +185,7 @@ def _log_ball_cap_fraction(n: int, t: float) -> float:
     return math.log(_ball_cap_fraction(n, t))
 
 
-def _log_ball_cap_fractions(t: float, log_coef: np.ndarray) -> np.ndarray:
+def _log_ball_cap_fractions(t: float, log_coef):
     """_log_ball_cap_fraction(n, t) for n = 2, 3, ... in one pass, 0 <= t < 1.
 
     log_coef[k] is log(1 / (alpha B(alpha, 1/2))) at alpha = (n + 1)/2 of

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -20,7 +21,9 @@ import ballavoid
 from ballavoid import cli, concentration
 from ballavoid.cli import _emit, build_parser, main
 from ballavoid.concentration import C_STAR
-from ballavoid.construction import CANONICAL_OFFSET
+from ballavoid.construction import CANONICAL_OFFSET, ConstructionParams
+from ballavoid.errors import DomainError
+from ballavoid.figure import build_figure_spec
 from ballavoid.sampling import AuditReport
 from ballavoid.volume import RatioTable, ratio_table
 
@@ -339,6 +342,17 @@ class TestVerify:
             assert [float(row[f"y_{i}"]) for i in (1, 2) if row[f"y_{i}"]] == list(wy)
         assert rows[0]["y_1"] == rows[0]["y_2"] == ""
 
+    def test_csv_without_violations_is_the_summary_row(self, capsys):
+        argv = ["verify", "--n", "2", "--pairs", "10000", "--samples", "10000", "--format"]
+        code, out = run_cli(capsys, [*argv, "csv"])
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        _, summary_out = run_cli(capsys, [*argv, "json"])
+        summary = json.loads(summary_out)["results"]
+        assert list(row) == list(summary)
+        assert row.pop("mc_within_3_sigma") == "True"
+        assert {key: float(value) for key, value in row.items()} == {key: summary[key] for key in row}
+
     def test_worker_error_exits_one_without_traceback(self, capsys):
         # The audit's rejection sampler gives up inside a worker thread.
         code = main(["verify", "--n", "500", "--a", "0.99", "--pairs", "10000",
@@ -535,6 +549,11 @@ class TestFigure:
     def test_bad_offset_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["figure", "--out", str(tmp_path / "s2.svg"), "--a=nan"])
         assert code == 2
+
+    @pytest.mark.parametrize("n", [3, 10000])
+    def test_figure_is_planar(self, n):
+        with pytest.raises(DomainError, match=f"the figure is planar; got dimension {n}"):
+            build_figure_spec(ConstructionParams(n))
 
 
 class TestConcentrationCheck:
@@ -807,17 +826,29 @@ print(sorted(m for m in ("scipy", "mpmath") if m in sys.modules))
     def test_startup_imports_stay_lazy(self):
         # Each of these is imported inside the one function that needs it;
         # at module level every command would pay for it at start-up.
+        # The records are named tuples, so dataclasses and the inspect it
+        # pulls in stay out too.
+        assert self.loaded_at_startup(("concurrent.futures", "logging", "fractions", "decimal", "numpy",
+                                       "numpy.polynomial", "ballavoid.sampling", "ballavoid.figure",
+                                       "dataclasses", "inspect")) == []
+
+    def test_startup_without_site_skips_typing(self):
+        # A .pth file of site-packages may import typing before any package
+        # code runs; -S leaves site out, so only the package can load it.
+        assert self.loaded_at_startup(("typing",), "-S") == []
+
+    @staticmethod
+    def loaded_at_startup(modules, *flags):
+        """Those of modules that a fresh interpreter, run with flags, has
+        loaded after importing ballavoid.cli and building its parser."""
         script = ("import sys, ballavoid.cli\n"
                   "ballavoid.cli.build_parser()\n"
-                  "print(sorted(m for m in ('concurrent.futures', 'logging', 'fractions',"
-                  " 'decimal', 'numpy', 'numpy.polynomial', 'ballavoid.sampling',"
-                  " 'ballavoid.figure')"
-                  " if m in sys.modules))\n")
+                  f"print(sorted(m for m in {modules!r} if m in sys.modules))\n")
         src = os.path.dirname(os.path.dirname(ballavoid.__file__))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        return ast.literal_eval(proc.stdout)
 
     @pytest.mark.parametrize("argv, code", [
         (["ratio", "--method", "quadrature", "--n", "50", "--format", "json"], 0),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
+import ballavoid
 from ballavoid import sampling
 from ballavoid.construction import ConstructionParams, component
 from ballavoid.errors import DomainError, NumericError
@@ -105,6 +106,28 @@ class TestSampleUnitBall:
         b = ball_points(5, rng_for(9), 1000)
         assert np.array_equal(a, b)
 
+    def test_zero_norm_rows_redrawn(self):
+        # A Gaussian row of norm zero has no direction.  A real generator
+        # draws one with probability zero, so a stub hands out two.
+        class Stub:
+            def __init__(self):
+                self.shapes = []
+
+            def standard_normal(self, shape):
+                self.shapes.append(shape)
+                g = np.ones(shape)
+                if len(self.shapes) == 1:
+                    g[[0, 2]] = 0.0
+                return g
+
+            def random(self, count):
+                return np.full(count, 0.125)
+
+        rng = Stub()
+        x = sample_unit_ball(3, rng, 4)
+        assert rng.shapes == [(4, 3), (2, 3)]
+        assert x == pytest.approx(np.full((4, 3), 0.5 / math.sqrt(3.0)), rel=1e-15)
+
 
 # vol T_n / vol(small ball), from the antiderivative oracle.
 ACCEPTANCE = [(2, 0.5697868742896341), (3, 0.6252470442573573)]
@@ -174,6 +197,23 @@ class TestPublicSamplers:
         ref, ref_rate = draw_T(p, rng_for(12), count)
         assert pts.tobytes() == ref.tobytes()
         assert rate == ref_rate
+
+    def test_package_names_load_sampling_on_first_access(self):
+        # README: ballavoid.SamplerConfig, .pair_audit and .mc_volume_ratio
+        # load ballavoid.sampling, and numpy with it, when first read.
+        names = ("SamplerConfig", "mc_volume_ratio", "pair_audit")
+        assert [getattr(ballavoid, name) for name in names] == [getattr(sampling, name) for name in names]
+        with pytest.raises(AttributeError, match="has no attribute 'sample_T'"):
+            ballavoid.sample_T
+        script = ("import sys, ballavoid\n"
+                  "before = [m in sys.modules for m in ('ballavoid.sampling', 'numpy')]\n"
+                  "ballavoid.pair_audit\n"
+                  "print(before, [m in sys.modules for m in ('ballavoid.sampling', 'numpy')])\n")
+        src = os.path.dirname(os.path.dirname(ballavoid.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[False, False] [True, True]\n"
 
     def test_T_empty_draw(self):
         pts, rate = sample_T(ConstructionParams(4), rng_for(13), 0)
@@ -530,6 +570,14 @@ class TestWorkerThreads:
         with pytest.raises(ValueError, match="chunk 0"):
             list(sampling._run_chunks(0, _AUDIT_STREAM, 4 * sampling.CHUNK_ROWS, work))
         assert threading.active_count() == before
+
+    def test_usable_cpus_without_affinity_mask(self, monkeypatch):
+        # Where os has no sched_getaffinity, every CPU the OS reports counts.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sampling._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sampling._usable_cpus() == 1
 
     def test_look_ahead_bounded(self, monkeypatch):
         # While chunk 0 is held, the other worker runs ahead only as far as

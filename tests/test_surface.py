@@ -20,7 +20,9 @@ a public function of its module, or the traced benchmark cannot measure
 that metric.
 
 sampling.py calls neither np.sin nor np.cos: every cosine of verify's
-kernels comes from _cos_2pi's fold to a tangent, as README states.
+kernels comes from _cos_2pi's fold to a tangent, as README states.  And
+no module imports dataclasses or typing: the records are named tuples,
+and neither module is worth its start-up time to the CLI.
 """
 
 import ast
@@ -281,3 +283,31 @@ def test_sampling_calls_no_array_sine_or_cosine():
 def test_array_sine_call_is_reported():
     source = package_sources()["sampling"] + "\n\nnp.sin(np.zeros(1), out=None)\n"
     assert array_trig_calls(source) == ["np.sin"]
+
+
+def heavy_imports(sources):
+    """module: name for each import of dataclasses or typing, or of a
+    submodule of either, in sources (module -> source text)."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found.extend(f"{module}: {name}" for name in names
+                         if name.split(".")[0] in ("dataclasses", "typing"))
+    return found
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    assert heavy_imports(package_sources()) == []
+
+
+def test_dataclasses_or_typing_import_is_reported():
+    sources = package_sources()
+    sources["volume"] += "\n\nfrom dataclasses import dataclass\n"
+    sources["specfun"] += "\n\nif True:\n    import os, typing\n"
+    assert heavy_imports(sources) == ["specfun: typing", "volume: dataclasses"]
