@@ -299,7 +299,7 @@ def cmd_figure(args) -> int:
     # Imported here: no other subcommand draws the figure.
     from .figure import build_figure_spec, junction_csv, render_svg
 
-    spec = build_figure_spec(ConstructionParams(2, args.a), args.epsilon)
+    spec = build_figure_spec(args.a, args.epsilon)
     csv_path = os.path.splitext(args.out)[0] + ".points.csv"
     rc = _write_out(render_svg(spec), args.out) or _write_out(junction_csv(spec), csv_path)
     if rc:

@@ -57,6 +57,7 @@ class ConstructionParams(collections.namedtuple("ConstructionParams", "n a")):
 
     The half-space threshold, the small radius and the outer radius are
     fixed at 1/2, 1/2 and 1 by the construction; _tightened holds them.
+    _make, and so _replace, builds through __new__ and its checks.
     """
 
     __slots__ = ()
@@ -66,13 +67,15 @@ class ConstructionParams(collections.namedtuple("ConstructionParams", "n a")):
         _check_offset(a)
         return super().__new__(cls, n, a)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-def _tightened(params: ConstructionParams, eps: float) -> tuple[float, float, float]:
+
+def _tightened(a: float, eps: float) -> tuple[float, float, float]:
     """(t, r, R) = (1/2 + eps, 1/2 - eps, 1 - eps): the threshold, small and
-    outer radius of T, the construction's only three lengths, tightened by
-    eps, which must lie in [0, (a - 1/2)/2)."""
-    if not 0.0 <= eps < (params.a - 0.5) / 2.0:
-        raise DomainError(f"epsilon must lie in [0, (a - 1/2)/2), got {eps!r} for a={params.a!r}")
+    outer radius of T at offset a, the construction's only three lengths,
+    tightened by eps, which must lie in [0, (a - 1/2)/2)."""
+    if not 0.0 <= eps < (a - 0.5) / 2.0:
+        raise DomainError(f"epsilon must lie in [0, (a - 1/2)/2), got {eps!r} for a={a!r}")
     return 0.5 + eps, 0.5 - eps, 1.0 - eps
 
 
@@ -83,7 +86,7 @@ def _in_T_mask(params: ConstructionParams, x1, sq, out, work, test):
     and test (bool) are scratch arrays shaped like x1."""
     import numpy as np
 
-    t, r, outer = _tightened(params, 0.0)
+    t, r, outer = _tightened(params.a, 0.0)
     a = params.a
     np.less(t, x1, out=out)
     out &= np.less(sq, outer * outer, out=test)

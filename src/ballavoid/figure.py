@@ -15,8 +15,7 @@ from __future__ import annotations
 import collections
 import math
 
-from .construction import ConstructionParams, _tightened
-from .errors import DomainError
+from .construction import _check_offset, _tightened
 
 # Side of the square canvas, in model units (the unit disk plus a margin).
 _CANVAS = 2.2
@@ -32,13 +31,11 @@ class FigureSpec(collections.namedtuple(
     __slots__ = ()
 
 
-def build_figure_spec(params: ConstructionParams, epsilon: float = 0.0) -> FigureSpec:
-    """Figure geometry for S_2, optionally for the closed inner
+def build_figure_spec(a: float, epsilon: float = 0.0) -> FigureSpec:
+    """Figure geometry for S_2 at offset a, optionally for the closed inner
     approximation with every inequality tightened by epsilon."""
-    if params.n != 2:
-        raise DomainError(f"the figure is planar; got dimension {params.n}")
-    t, r, outer = _tightened(params, epsilon)
-    a = params.a
+    _check_offset(a)
+    t, r, outer = _tightened(a, epsilon)
     # Chord plane of the circles |x| = outer and |x - a e_1| = r.
     c = (outer * outer - r * r + a * a) / (2.0 * a)
     w_seg = math.sqrt(r * r - (t - a) ** 2)

@@ -83,7 +83,7 @@ _VOLUME_STREAM = 1
 
 class SamplerConfig(collections.namedtuple("SamplerConfig", "seed sample_count params")):
     """Seed, sample count, and geometry (a ConstructionParams) for one
-    reproducible run."""
+    reproducible run.  _make, and so _replace, builds through __new__."""
 
     __slots__ = ()
 
@@ -95,6 +95,8 @@ class SamplerConfig(collections.namedtuple("SamplerConfig", "seed sample_count p
                                                   and sample_count > 0):
             raise DomainError(f"sample_count must be positive, got {sample_count!r}")
         return super().__new__(cls, seed, sample_count, params)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class AuditReport(collections.namedtuple(
@@ -172,7 +174,7 @@ class _Buffers:
         self.test = np.empty(rows, dtype=bool)
 
 
-def sample_unit_ball(n: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+def sample_unit_ball(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform points in the open unit n-ball: normalized Gaussian direction
     scaled by U^(1/n).  Returns shape (count, n)."""
     n, count = checked_dimension(n, 1), checked_dimension(count, 0, "count")
@@ -194,8 +196,7 @@ def _check_acceptance(params: ConstructionParams, hits: int, proposed: int) -> N
         )
 
 
-def sample_T(params: ConstructionParams, rng: np.random.Generator,
-             count: int = 1) -> tuple[np.ndarray, float]:
+def sample_T(params: ConstructionParams, rng: np.random.Generator, count: int) -> tuple[np.ndarray, float]:
     """Uniform points in T by rejection from blocks of min(max(still needed,
     2048), max(1, _T_BLOCK_ELEMENTS // n)) points 0.5 sample_unit_ball + a e_1,
     kept in draw order where component() puts them in T.  Returns (points

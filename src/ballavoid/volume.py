@@ -68,14 +68,10 @@ CLOSED_FORM_REL_ERROR = 1e-14
 
 class VolumeEstimate(collections.namedtuple("VolumeEstimate", "log_value error_bound")):
     """A log-domain volume (a LogValue) with error_bound, an absolute bound
-    on the error of log_value."""
+    on the error of log_value; its builders form the bound from absolute
+    values, so it is nonnegative by construction."""
 
     __slots__ = ()
-
-    def __new__(cls, log_value, error_bound):
-        if error_bound < 0:
-            raise DomainError("error_bound must be nonnegative")
-        return super().__new__(cls, log_value, error_bound)
 
 
 class RatioRow(collections.namedtuple("RatioRow", "n ratio scaled margin log_error_bound")):
@@ -226,7 +222,7 @@ def ratio_S(n: int, a: float = CANONICAL_OFFSET, method: str = "closed_form") ->
                     margin=scaled - 1.0, log_error_bound=est.error_bound)
 
 
-def dvol_da(n: int, a: float = CANONICAL_OFFSET) -> float:
+def dvol_da(n: int, a: float) -> float:
     """Derivative of vol T in the offset a.
 
     Differentiating the split integral, the boundary terms at the chord

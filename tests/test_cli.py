@@ -21,9 +21,7 @@ import ballavoid
 from ballavoid import cli, concentration
 from ballavoid.cli import _emit, build_parser, main
 from ballavoid.concentration import C_STAR
-from ballavoid.construction import CANONICAL_OFFSET, ConstructionParams
-from ballavoid.errors import DomainError
-from ballavoid.figure import build_figure_spec
+from ballavoid.construction import CANONICAL_OFFSET
 from ballavoid.sampling import AuditReport
 from ballavoid.volume import RatioTable, ratio_table
 
@@ -549,11 +547,6 @@ class TestFigure:
     def test_bad_offset_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, ["figure", "--out", str(tmp_path / "s2.svg"), "--a=nan"])
         assert code == 2
-
-    @pytest.mark.parametrize("n", [3, 10000])
-    def test_figure_is_planar(self, n):
-        with pytest.raises(DomainError, match=f"the figure is planar; got dimension {n}"):
-            build_figure_spec(ConstructionParams(n))
 
 
 class TestConcentrationCheck:

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -96,20 +99,35 @@ class TestEquidistanceResidual:
             equidistance_residual(0.4)
 
 
+def params_builds(n, a):
+    """ConstructionParams(n, a) built three ways: by the constructor, by
+    _make and by _replace of a valid record."""
+    return [lambda: ConstructionParams(n, a), lambda: ConstructionParams._make([n, a]),
+            lambda: ConstructionParams(3)._replace(n=n, a=a)]
+
+
 class TestParams:
     def test_defaults_to_canonical(self):
         p = ConstructionParams(3)
         assert p.a == CANONICAL_OFFSET
-        assert _tightened(p, 0.0) == (0.5, 0.5, 1.0)
+        assert _tightened(p.a, 0.0) == (0.5, 0.5, 1.0)
 
     @pytest.mark.parametrize("bad_a", [0.5, 1.0, 0.2, 1.4])
     def test_offset_range_enforced(self, bad_a):
-        with pytest.raises(DomainError):
-            ConstructionParams(3, bad_a)
+        for build in params_builds(3, bad_a):
+            with pytest.raises(DomainError, match=re.escape(f"offset must lie in (1/2, 1), got {bad_a!r}")):
+                build()
 
     def test_dimension_enforced(self):
-        with pytest.raises(DomainError):
-            ConstructionParams(1)
+        for build in params_builds(1, CANONICAL_OFFSET):
+            with pytest.raises(DomainError, match="dimension must be an integer >= 2, got 1"):
+                build()
+
+    def test_copies_are_equal(self):
+        p = ConstructionParams(5, 0.6)
+        for other in (p._replace(n=5), copy.copy(p), pickle.loads(pickle.dumps(p))):
+            assert type(other) is ConstructionParams and other == p
+        assert ConstructionParams._make([5, 0.6]) == p
 
 
 class TestMembership:
@@ -188,11 +206,11 @@ class TestInnerApproximation:
 
     def test_epsilon_range_enforced(self):
         p = ConstructionParams(3)
-        assert _tightened(p, 0.0) == (0.5, 0.5, 1.0)
+        assert _tightened(p.a, 0.0) == (0.5, 0.5, 1.0)
         with pytest.raises(DomainError):
-            _tightened(p, -1e-3)
+            _tightened(p.a, -1e-3)
         with pytest.raises(DomainError):
-            _tightened(p, (p.a - 0.5) / 2)
+            _tightened(p.a, (p.a - 0.5) / 2)
 
 
 def definition_in_T(a, y):

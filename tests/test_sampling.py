@@ -1,6 +1,8 @@
+import copy
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import threading
@@ -58,28 +60,46 @@ def draw_T(params, rng, count):
     return np.concatenate(blocks), hits / proposed
 
 
+def config_builds(seed, sample_count):
+    """SamplerConfig(seed, sample_count, ConstructionParams(2)) built three
+    ways: by the constructor, by _make and by _replace of a valid record."""
+    params = ConstructionParams(2)
+    return [lambda: SamplerConfig(seed, sample_count, params),
+            lambda: SamplerConfig._make([seed, sample_count, params]),
+            lambda: SamplerConfig(0, 10**4, params)._replace(seed=seed, sample_count=sample_count)]
+
+
 class TestSamplerConfig:
     def test_seed_range(self):
-        with pytest.raises(DomainError):
-            SamplerConfig(-1, 100, ConstructionParams(2))
-        with pytest.raises(DomainError):
-            SamplerConfig(2**64, 100, ConstructionParams(2))
+        for seed in (-1, 2**64):
+            for build in config_builds(seed, 100):
+                with pytest.raises(DomainError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
+                    build()
 
     def test_positive_count(self):
-        with pytest.raises(DomainError):
-            SamplerConfig(0, 0, ConstructionParams(2))
+        for build in config_builds(0, 0):
+            with pytest.raises(DomainError, match="sample_count must be positive, got 0"):
+                build()
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_rejected(self, flag):
         # bool subclasses int, but True is not seed 1 nor a count of 1.
-        with pytest.raises(DomainError, match=f"seed must be a 64-bit unsigned integer, got {flag}"):
-            SamplerConfig(flag, 10**4, ConstructionParams(2))
-        with pytest.raises(DomainError, match=f"sample_count must be positive, got {flag}"):
-            SamplerConfig(0, flag, ConstructionParams(2))
+        for build in config_builds(flag, 10**4):
+            with pytest.raises(DomainError, match=f"seed must be a 64-bit unsigned integer, got {flag}"):
+                build()
+        for build in config_builds(0, flag):
+            with pytest.raises(DomainError, match=f"sample_count must be positive, got {flag}"):
+                build()
 
     def test_numpy_integers_accepted(self):
         cfg = SamplerConfig(np.uint64(2**64 - 1), np.int64(10**4), ConstructionParams(2))
         assert (cfg.seed, cfg.sample_count) == (2**64 - 1, 10**4)
+
+    def test_copies_are_equal(self):
+        cfg = SamplerConfig(3, 10**4, ConstructionParams(5, 0.6))
+        for other in (cfg._replace(seed=3), copy.copy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert type(other) is SamplerConfig and other == cfg
+        assert SamplerConfig._make([3, 10**4, ConstructionParams(5, 0.6)]) == cfg
 
 
 class TestSampleUnitBall:
@@ -680,6 +700,12 @@ class TestPairAudit:
     def test_minimum_pair_count(self):
         with pytest.raises(DomainError):
             pair_audit(SamplerConfig(0, 100, ConstructionParams(2)))
+
+    def test_replaced_params_are_checked(self):
+        # A record that _replace made reaches the audit only through the
+        # constructor's checks, never as a division by n - 1 = 0.
+        with pytest.raises(DomainError, match="dimension must be an integer >= 2, got 1"):
+            pair_audit(SamplerConfig(0, 10**4, ConstructionParams(3)._replace(n=1)))
 
     def test_report_shape(self):
         rep = pair_audit(SamplerConfig(5, 10_000, ConstructionParams(2)))

@@ -14,7 +14,9 @@ some module of the package (a name read, an attribute, or an import);
 one that nothing loads is dead code and fails here too.
 
 A defaulted parameter of a module-level function must be passed by some
-call in src/, tests/ or perfbench/; one that no caller sets is dead.
+call in src/, tests/ or perfbench/, and left out by another: a parameter
+that no caller sets is dead, and so is a default that every caller
+overrides.
 And every function a per_layer metric of BENCHMARK.json names must stay
 a public function of its module, or the traced benchmark cannot measure
 that metric.
@@ -209,12 +211,12 @@ def defaulted_parameters(tree):
     return found
 
 
-def passed_parameters(tree, functions):
-    """(function, parameter) for each parameter of functions (name ->
-    (positional, defaulted), as from defaulted_parameters) that some call
-    in tree passes by position, by keyword or through * or **.  A call
-    names its function directly or as an attribute."""
-    passed = set()
+def passed_flags(tree, functions):
+    """(function, parameter, passed) for each defaulted parameter of
+    functions (name -> (positional, defaulted), as from
+    defaulted_parameters) and each call of its function in tree: passed
+    says whether the call passes it, by position, by keyword or through *
+    or **.  A call names its function directly or as an attribute."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -224,15 +226,15 @@ def passed_parameters(tree, functions):
             continue
         positional, defaulted = functions[name]
         if any(isinstance(arg, ast.Starred) for arg in node.args):
-            passed.update((name, param) for param in positional)
+            passed = set(positional)
         else:
-            passed.update((name, param) for param in positional[: len(node.args)])
+            passed = set(positional[: len(node.args)])
         for keyword in node.keywords:
             if keyword.arg is None:
-                passed.update((name, param) for param in defaulted)
+                passed.update(defaulted)
             else:
-                passed.add((name, keyword.arg))
-    return passed
+                passed.add(keyword.arg)
+        yield from ((name, param, param in passed) for param in defaulted)
 
 
 def caller_sources():
@@ -241,20 +243,30 @@ def caller_sources():
             for pattern in ("tests/*.py", "perfbench/*.py") for path in sorted(ROOT.glob(pattern))}
 
 
-def unpassed_parameters(sources, callers):
-    """module.function(parameter) for each defaulted parameter of a
-    module-level function of the package modules in sources (module ->
-    source text) that no call in them or in callers (any -> source text)
-    passes."""
+def default_uses(sources, callers):
+    """module.function(parameter) -> the set of passed_flags' flags, for
+    each defaulted parameter of a module-level function of the package
+    modules in sources (module -> source text), over every call in them
+    or in callers (any -> source text)."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defaults = {module: defaulted_parameters(tree) for module, tree in trees.items()}
     functions = {name: signature for found in defaults.values() for name, signature in found.items()}
-    passed = set()
+    flags = {(name, param): set() for name, (_, defaulted) in functions.items() for param in defaulted}
     for tree in [*trees.values(), *map(ast.parse, callers.values())]:
-        passed |= passed_parameters(tree, functions)
-    return sorted(f"{module}.{name}({param})" for module, found in defaults.items()
-                  for name, (_, defaulted) in found.items()
-                  for param in defaulted if (name, param) not in passed)
+        for name, param, passed in passed_flags(tree, functions):
+            flags[name, param].add(passed)
+    return {f"{module}.{name}({param})": flags[name, param] for module, found in defaults.items()
+            for name, (_, defaulted) in found.items() for param in defaulted}
+
+
+def unpassed_parameters(sources, callers):
+    """Each defaulted parameter that no call passes: the parameter is dead."""
+    return sorted(label for label, flags in default_uses(sources, callers).items() if True not in flags)
+
+
+def always_passed_parameters(sources, callers):
+    """Each defaulted parameter that every call passes: the default is dead."""
+    return sorted(label for label, flags in default_uses(sources, callers).items() if False not in flags)
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -266,6 +278,17 @@ def test_unpassed_parameter_is_reported():
     sources["volume"] += ("\n\ndef _helper(x, y=1, *, z=2, w=3):\n    pass\n\n\n"
                           "_helper(0, w=4)\n_helper(*[0])\n")
     assert unpassed_parameters(sources, caller_sources()) == ["volume._helper(z)"]
+
+
+def test_every_default_is_used():
+    assert always_passed_parameters(package_sources(), caller_sources()) == []
+
+
+def test_always_passed_parameter_is_reported():
+    sources = package_sources()
+    sources["volume"] += ("\n\ndef _helper(x, y=1, *, z=2):\n    pass\n\n\n"
+                          "_helper(0, z=3)\n_helper(0, 1, **{})\n")
+    assert always_passed_parameters(sources, caller_sources()) == ["volume._helper(z)"]
 
 
 def array_trig_calls(source):
